@@ -14,12 +14,14 @@ let exact net ~input_probs =
   check_probs net input_probs;
   let man = Bdd.manager () in
   let bdds = Network.global_bdds net man in
+  (* Global BDDs share most of their nodes: one shared-memo sweep weighs
+     each node once instead of once per node whose cone reaches it. *)
+  let ids, roots =
+    List.split (List.rev (Hashtbl.fold (fun i b acc -> (i, b) :: acc) bdds []))
+  in
+  let ps = Bdd.probabilities man (fun v -> input_probs.(v)) roots in
   let probs = Hashtbl.create (Hashtbl.length bdds) in
-  Hashtbl.iter
-    (fun i bdd ->
-      Hashtbl.replace probs i
-        (Bdd.probability man (fun v -> input_probs.(v)) bdd))
-    bdds;
+  List.iter2 (Hashtbl.replace probs) ids ps;
   probs
 
 let approximate net ~input_probs =

@@ -622,6 +622,32 @@ let probability _m p f =
   in
   go f.e
 
+(* One memo for every root: a node's probability does not depend on the
+   root that reaches it, and nodes are never freed or renumbered, so a
+   float array indexed by node (NaN = not yet computed) serves the whole
+   sweep.  Same arithmetic as [probability], hence the same floats. *)
+let probabilities m p fs =
+  let es = List.map (own m) fs in
+  let memo = Array.make m.n_nodes Float.nan in
+  let rec go e =
+    let n = e lsr 1 and c = e land 1 in
+    let pn =
+      if n = 0 then 1.0
+      else begin
+        let r = memo.(n) in
+        if Float.is_nan r then begin
+          let pv = p (var_of m n) in
+          let r = (pv *. go m.nhi.(n)) +. ((1.0 -. pv) *. go m.nlo.(n)) in
+          memo.(n) <- r;
+          r
+        end
+        else r
+      end
+    in
+    if c = 1 then 1.0 -. pn else pn
+  in
+  List.map go es
+
 (* ---------- enumeration ---------- *)
 
 let fold_paths _m f ~init ~f:step =

@@ -152,6 +152,16 @@ val probability : man -> (int -> float) -> t -> float
     variable [i] is independently 1 with probability [p i].  Exact, linear in
     the BDD size (one weighted traversal). *)
 
+val probabilities : man -> (int -> float) -> t list -> float list
+(** [probabilities m p fs] is [List.map (probability m p) fs], with the
+    same floats, computed in one sweep whose memo is shared by every root:
+    a node reached from several roots is weighted once.  The memo is an
+    array over all of [m]'s nodes, so use this when the roots cover much of
+    the manager (every node of a network's global BDDs, say), and
+    {!probability} for a single root in a large manager, where a walk of
+    just the reachable nodes is cheaper.  Raises [Invalid_argument] if a
+    root belongs to another manager. *)
+
 (** {1 Enumeration} *)
 
 val fold_paths :

@@ -12,7 +12,7 @@
 
 type job =
   | Estimate of { label : string; net : Network.t; input_probs : float array }
-      (** exact per-output signal probabilities (BDD cones via
+      (** exact per-output signal probabilities (global BDDs via
           {!Memo.cone_probabilities}) plus estimated switched
           capacitance *)
   | Synthesize of { label : string; net : Network.t; trace : Stimulus.t option }

@@ -148,15 +148,16 @@ let cone_probabilities t net ~input_probs =
       input_probs
   in
   let compute () =
+    (* One global build and one shared-memo sweep over every output,
+       rather than a cone rebuild and a fresh memo per output. *)
     let man = Bdd.manager () in
+    let bdds = Network.global_bdds net man in
+    let outputs = Network.outputs net in
     let probs =
-      List.map
-        (fun (name, _) ->
-          let bdd = Network.output_bdd net man name in
-          (name, Bdd.probability man (fun v -> input_probs.(v)) bdd))
-        (Network.outputs net)
+      Bdd.probabilities man (fun v -> input_probs.(v))
+        (List.map (fun (_, o) -> Hashtbl.find bdds o) outputs)
     in
-    A_cone (Array.of_list probs)
+    A_cone (Array.of_list (List.map2 (fun (name, _) p -> (name, p)) outputs probs))
   in
   match memoize t key compute with A_cone a -> a | _ -> assert false
 

@@ -52,9 +52,10 @@ val bitsim : t -> Network.t -> Bitsim.t
 
 val cone_probabilities :
   t -> Network.t -> input_probs:float array -> (string * float) array
-(** Exact per-output signal probabilities by building each output's BDD
-    cone ([Network.output_bdd] + [Bdd.probability]), in output
-    declaration order.  The key fingerprints [input_probs], so the same
+(** Exact per-output signal probabilities from one build of the global
+    BDDs ([Network.global_bdds] + [Bdd.probabilities]), in output
+    declaration order; the same floats as a per-output
+    [Network.output_bdd] + [Bdd.probability].  The key fingerprints [input_probs], so the same
     network under different input statistics occupies distinct entries.
     Each miss builds a private manager — nothing BDD-managed is shared
     across domains. *)

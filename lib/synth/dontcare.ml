@@ -9,14 +9,17 @@ type policy =
   | For_power of float array
   | For_power_fanout of float array
 
-let compute net n =
+(* [globals] are [net]'s global BDDs in [man].  The fanin variables y
+   and the free variable z are appended below the primary-input levels,
+   so every BDD over the inputs alone keeps the same canonical graph
+   whichever manager it is built in, and its probability the same
+   floats. *)
+let compute_in man globals net n =
   if Network.is_input net n then invalid_arg "Dontcare.compute: input node";
   let fanins = Network.fanins net n in
   let k = List.length fanins in
   if k > 16 then invalid_arg "Dontcare.compute: more than 16 fanins";
   let npi = List.length (Network.inputs net) in
-  let man = Bdd.manager () in
-  let globals = Network.global_bdds net man in
   (* Variables: 0..npi-1 are primary inputs; npi..npi+k-1 stand for the
      fanin values y; npi+k is the free variable z. *)
   let yvar j = npi + j in
@@ -57,6 +60,10 @@ let compute net n =
   let local_onset = Truth_table.of_expr k (Network.func net n) in
   { node = n; local_onset; dontcare = tt_of dc_bdd }
 
+let compute net n =
+  let man = Bdd.manager () in
+  compute_in man (Network.global_bdds net man) net n
+
 let minimized_candidates d =
   let k = Truth_table.num_vars d.local_onset in
   let care = Truth_table.not_ d.dontcare in
@@ -75,9 +82,9 @@ let minimized_candidates d =
   ignore k;
   [ free_min; zero_min; one_min ]
 
-let candidate_probability net n cand ~input_probs =
-  let man = Bdd.manager () in
-  let globals = Network.global_bdds net man in
+(* Signal probability of node [n] re-implemented as [cand], over the
+   global BDDs [globals] of its fanins. *)
+let candidate_probability man globals net n cand ~input_probs =
   let fanins =
     Array.of_list
       (List.map (fun j -> Hashtbl.find globals j) (Network.fanins net n))
@@ -114,97 +121,82 @@ let fanout_cost net n cand ~input_probs =
       acc +. (Network.cap net i *. 2.0 *. p *. (1.0 -. p)))
     fanout 0.0
 
+(* Lowest cost first; costs within 1e-12 of each other tie and fall to the
+   fewer literals, then to the earlier candidate. *)
+let cheapest cost cands =
+  let beats (a, l, _) (ba, bl, _) =
+    a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
+  in
+  List.fold_left
+    (fun acc c ->
+      let s = (cost c, Cover.literal_count c, c) in
+      match acc with
+      | Some best when not (beats s best) -> acc
+      | _ -> Some s)
+    None cands
+
 let optimize_node_unchecked net policy n =
   if Network.is_input net n || List.length (Network.fanins net n) > 16 then
     false
   else begin
-    let d = compute net n in
+    (* One manager and one global build serve the don't-care computation
+       and the scoring of every candidate at this node. *)
+    let man = Bdd.manager () in
+    let globals = Network.global_bdds net man in
+    let d = compute_in man globals net n in
     let cands = minimized_candidates d in
     let current_lits = Expr.literal_count (Network.func net n) in
+    let old_cover () =
+      Cover.of_truth_table
+        (Truth_table.of_expr
+           (List.length (Network.fanins net n))
+           (Network.func net n))
+    in
+    (* The chosen cover, and whether it beats the current implementation. *)
     let chosen =
       match policy with
-      | For_power_fanout input_probs ->
-        let scored =
-          List.map
-            (fun c -> (fanout_cost net n c ~input_probs, Cover.literal_count c, c))
-            cands
-        in
-        let best =
-          List.fold_left
-            (fun acc (a, l, c) ->
-              match acc with
-              | None -> Some (a, l, c)
-              | Some (ba, bl, _) ->
-                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
-                then Some (a, l, c)
-                else acc)
-            None scored
-        in
-        Option.map (fun (_, _, c) -> c) best
       | For_area ->
+        (* The first candidate with the fewest cube literals. *)
         let best =
           List.fold_left
             (fun acc c ->
               match acc with
-              | None -> Some c
-              | Some b ->
-                if Cover.literal_count c < Cover.literal_count b then Some c
-                else acc)
+              | Some b when Cover.literal_count c >= Cover.literal_count b ->
+                acc
+              | _ -> Some c)
             None cands
         in
-        best
+        Option.map
+          (fun c -> (c, Expr.literal_count (Cover.to_expr c) < current_lits))
+          best
+      | For_power_fanout input_probs ->
+        let cost c = fanout_cost net n c ~input_probs in
+        Option.map
+          (fun (a, _, c) -> (c, a < cost (old_cover ()) -. 1e-12))
+          (cheapest cost cands)
       | For_power input_probs ->
-        let activity c =
-          let p = candidate_probability net n c ~input_probs in
+        let act c =
+          let p = candidate_probability man globals net n c ~input_probs in
           2.0 *. p *. (1.0 -. p)
         in
-        let scored = List.map (fun c -> (activity c, Cover.literal_count c, c)) cands in
-        let best =
-          List.fold_left
-            (fun acc (a, l, c) ->
-              match acc with
-              | None -> Some (a, l, c)
-              | Some (ba, bl, _) ->
-                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
-                then Some (a, l, c)
-                else acc)
-            None scored
-        in
-        Option.map (fun (_, _, c) -> c) best
+        Option.map
+          (fun (a, _, c) ->
+            let old_a = act (old_cover ()) in
+            ( c,
+              a < old_a -. 1e-12
+              || (Float.abs (a -. old_a) <= 1e-12
+                 && Expr.literal_count (Cover.to_expr c) < current_lits) ))
+          (cheapest act cands)
     in
     match chosen with
-    | None -> false
-    | Some cover ->
+    | Some (cover, true) ->
       let expr = Cover.to_expr cover in
-      let improves =
-        match policy with
-        | For_power_fanout input_probs ->
-          let old_cov =
-            Cover.of_truth_table
-              (Truth_table.of_expr
-                 (List.length (Network.fanins net n))
-                 (Network.func net n))
-          in
-          fanout_cost net n cover ~input_probs
-          < fanout_cost net n old_cov ~input_probs -. 1e-12
-        | For_area -> Expr.literal_count expr < current_lits
-        | For_power input_probs ->
-          let old_cov =
-            Cover.of_truth_table (Truth_table.of_expr
-              (List.length (Network.fanins net n)) (Network.func net n))
-          in
-          let old_p = candidate_probability net n old_cov ~input_probs in
-          let new_p = candidate_probability net n cover ~input_probs in
-          let act p = 2.0 *. p *. (1.0 -. p) in
-          act new_p < act old_p -. 1e-12
-          || (Float.abs (act new_p -. act old_p) <= 1e-12
-             && Expr.literal_count expr < current_lits)
-      in
-      if improves && not (Expr.equal expr (Network.func net n)) then begin
+      if Expr.equal expr (Network.func net n) then false
+      else begin
         Network.replace_func net n expr (Network.fanins net n);
         true
       end
-      else false
+    | _ -> false
   end
 
 (* The don't-care computation guarantees equivalence by construction; the

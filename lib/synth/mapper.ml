@@ -165,23 +165,20 @@ let map_unchecked ?(cells = Techlib.default) subject objective =
   List.iter
     (fun (nm, i) -> Network.set_output net nm (instantiate i))
     (Network.outputs subject);
-  (* Net capacitance = driver output cap + fanout pin caps. *)
+  (* Net capacitance = driver output cap + fanout pin caps.  Every
+     instance is its own netlist node, so the inverse of [signal] over
+     [choice] names the cell behind each fanout. *)
+  let cell_at = Hashtbl.create (Hashtbl.length choice) in
+  Hashtbl.iter
+    (fun si ch -> Hashtbl.replace cell_at (Hashtbl.find signal si) ch)
+    choice;
   List.iter
     (fun j ->
       let pins =
         List.fold_left
           (fun acc k ->
-            (* find which cell instance k is to get its pin cap *)
             let pin =
-              match
-                Hashtbl.fold
-                  (fun si ch acc ->
-                    match acc with
-                    | Some _ -> acc
-                    | None ->
-                      if Hashtbl.find signal si = k then Some ch else None)
-                  choice None
-              with
+              match Hashtbl.find_opt cell_at k with
               | Some ch -> ch.cell.Techlib.pin_cap
               | None -> 1.0
             in

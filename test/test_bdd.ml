@@ -125,6 +125,27 @@ let prop_probability =
            (Bdd.probability m p f -. Bdd_reference.probability r p rf)
          < 1e-12)
 
+let prop_probabilities_shared =
+  prop ~count:200 "probabilities (shared memo) = per-root probability"
+    QCheck2.Gen.(list_size (int_bound 6) (pair (gen_expr nvars) bool))
+    (fun es ->
+      let m = Bdd.manager () in
+      let fs =
+        List.map
+          (fun (e, neg) ->
+            let f = Bdd.of_expr m e in
+            if neg then Bdd.not_ m f else f)
+          es
+      in
+      (* Constants and complemented roots alongside the generated ones;
+         complements share every node with their originals. *)
+      let roots =
+        (Bdd.tru m :: fs) @ (Bdd.fls m :: List.map (Bdd.not_ m) fs)
+      in
+      let p v = 0.05 +. (0.9 *. float_of_int ((v * 7) mod nvars) /. float_of_int nvars) in
+      Bdd.probabilities m p [] = []
+      && Bdd.probabilities m p roots = List.map (Bdd.probability m p) roots)
+
 let prop_support_anysat =
   prop ~count:200 "support/any_sat/size invariants" (gen_expr nvars) (fun e ->
       let m = Bdd.manager () in
@@ -234,7 +255,9 @@ let test_engine_surface () =
     (st.Bdd.cache_misses > 0);
   Alcotest.(check bool) "live nodes tracked" true
     (st.Bdd.live_nodes = Bdd.node_count m);
-  Alcotest.(check int) "three variables known" 3 (Bdd.num_vars m)
+  Alcotest.(check int) "three variables known" 3 (Bdd.num_vars m);
+  expect_invalid_arg "probabilities rejects a root of another manager"
+    (fun () -> Bdd.probabilities (Bdd.manager ()) (fun _ -> 0.5) [ f ])
 
 let test_set_order () =
   let m = Bdd.manager () in
@@ -316,6 +339,7 @@ let suite =
     prop_and_exists;
     prop_compose;
     prop_probability;
+    prop_probabilities_shared;
     prop_support_anysat;
     prop_cover;
     prop_sift_single;

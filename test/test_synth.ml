@@ -243,6 +243,128 @@ let test_optimize_fanout_policy () =
   Alcotest.(check bool) "fanout-aware wins or ties on most networks" true
     (!better_or_equal * 2 >= !total)
 
+(* Reference sweep: the don't-care optimizer scoring each candidate in a
+   fresh BDD manager of its own, with no state shared between the
+   don't-care computation and the scores.  [Dontcare.optimize] shares one
+   manager per node visit and must make exactly the same choices. *)
+let reference_probability net n cand ~input_probs =
+  let man = Bdd.manager () in
+  let globals = Network.global_bdds net man in
+  let fanins =
+    Array.of_list (List.map (Hashtbl.find globals) (Network.fanins net n))
+  in
+  let rec build = function
+    | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
+    | Expr.Var v -> fanins.(v)
+    | Expr.Not e -> Bdd.not_ man (build e)
+    | Expr.And es -> Bdd.and_list man (List.map build es)
+    | Expr.Or es -> Bdd.or_list man (List.map build es)
+    | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
+  in
+  Bdd.probability man (fun v -> input_probs.(v)) (build (Cover.to_expr cand))
+
+let reference_optimize_node net policy n =
+  let fanins = Network.fanins net n in
+  if Network.is_input net n || List.length fanins > 16 then false
+  else begin
+    let cands = Dontcare.minimized_candidates (Dontcare.compute net n) in
+    let func = Network.func net n in
+    let current_lits = Expr.literal_count func in
+    let lits_below c = Expr.literal_count (Cover.to_expr c) < current_lits in
+    let chosen =
+      match policy with
+      | Dontcare.For_area ->
+        let best =
+          List.fold_left
+            (fun acc c ->
+              match acc with
+              | None -> Some c
+              | Some b ->
+                if Cover.literal_count c < Cover.literal_count b then Some c
+                else acc)
+            None cands
+        in
+        Option.map (fun c -> (c, lits_below c)) best
+      | Dontcare.For_power input_probs ->
+        let act c =
+          let p = reference_probability net n c ~input_probs in
+          2.0 *. p *. (1.0 -. p)
+        in
+        let scored = List.map (fun c -> (act c, Cover.literal_count c, c)) cands in
+        let best =
+          List.fold_left
+            (fun acc (a, l, c) ->
+              match acc with
+              | None -> Some (a, l, c)
+              | Some (ba, bl, _) ->
+                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
+                then Some (a, l, c)
+                else acc)
+            None scored
+        in
+        Option.map
+          (fun (_, _, c) ->
+            let old_cov =
+              Cover.of_truth_table
+                (Truth_table.of_expr (List.length fanins) func)
+            in
+            let a_new = act c and a_old = act old_cov in
+            ( c,
+              a_new < a_old -. 1e-12
+              || (Float.abs (a_new -. a_old) <= 1e-12 && lits_below c) ))
+          best
+      | Dontcare.For_power_fanout _ -> invalid_arg "reference: unsupported policy"
+    in
+    match chosen with
+    | Some (c, true) when not (Expr.equal (Cover.to_expr c) func) ->
+      Network.replace_func net n (Cover.to_expr c) fanins;
+      true
+    | _ -> false
+  end
+
+let reference_optimize net policy =
+  List.fold_left
+    (fun changed i ->
+      if Network.is_input net i then changed
+      else if reference_optimize_node net policy i then changed + 1
+      else changed)
+    0 (Network.topo_order net)
+
+let test_optimize_matches_fresh_manager_reference () =
+  let r = Lowpower.Rng.create 12 in
+  let total_changed = ref 0 in
+  for case = 1 to 100 do
+    let shape =
+      { Gen_comb.default_shape with
+        Gen_comb.num_inputs = 4 + (case mod 5);
+        num_gates = 8 + (case mod 13) }
+    in
+    let seed_net = Gen_comb.random r shape in
+    let input_probs =
+      Array.init (List.length (Network.inputs seed_net)) (fun k ->
+          0.1 +. (0.8 *. float_of_int ((k * 5 + case) mod 9) /. 8.0))
+    in
+    List.iter
+      (fun (name, policy) ->
+        let net = Network.copy seed_net and ref_net = Network.copy seed_net in
+        let changed = Dontcare.optimize ~verify:`Off net policy in
+        let expected = reference_optimize ref_net policy in
+        total_changed := !total_changed + changed;
+        Alcotest.(check int)
+          (Printf.sprintf "case %d %s: changed count" case name)
+          expected changed;
+        List.iter
+          (fun i ->
+            if not (Network.is_input net i) then
+              Alcotest.(check bool)
+                (Printf.sprintf "case %d %s: node %d function" case name i)
+                true
+                (Expr.equal (Network.func ref_net i) (Network.func net i)))
+          (Network.node_ids net))
+      [ ("area", Dontcare.For_area); ("power", Dontcare.For_power input_probs) ]
+  done;
+  Alcotest.(check bool) "the sweep changes some nodes" true (!total_changed > 0)
+
 (* --- Factor --- *)
 
 let sop_of_string_pairs lits = lits (* readability alias *)
@@ -450,6 +572,8 @@ let suite =
     quick "dc optimization preserves outputs" test_optimize_preserves_outputs;
     quick "power dc optimization safe and useful" test_optimize_power_preserves_and_helps;
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
+    quick "dc optimization = fresh-manager reference sweep"
+      test_optimize_matches_fresh_manager_reference;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
     quick "extraction reduces literals" test_extract_reduces_literals;
