@@ -262,17 +262,32 @@ let satisfiable ?portfolio ?on_stats net name =
 (* Incremental sessions                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* What [session_encode] sweeps operands onto, built on its first call
+   so sessions that only discharge never-true obligations pay nothing.
+   Every target is a base literal: its clauses are permanent, so a merge
+   never outlives the clauses that justify it. *)
+type sweep = {
+  words : int array array;  (* per simulation round, one word per input *)
+  own : (Network.id, Expr.t * Solver.lit array) Hashtbl.t;
+      (* each base node's function and fanin literals *)
+  by_struct : (Expr.t * Solver.lit array, Solver.lit) Hashtbl.t;
+  by_sig : (int array, Solver.lit * bool) Hashtbl.t;
+      (* normalized signature -> base literal, complemented? *)
+  outs : (string * Solver.lit * int array) list;  (* by [output_names] *)
+}
+
 type session = {
   base : Network.t;
   s : Solver.t;
   env : Cnf.env;
   mutable retired : int;  (* activation literals retired since last simplify *)
+  mutable sweep : sweep option;
 }
 
 let session net =
   let s = Solver.create () in
   let env = Cnf.add_network s net in
-  { base = net; s; env; retired = 0 }
+  { base = net; s; env; retired = 0; sweep = None }
 
 let session_stats sess = Solver.stats sess.s
 
@@ -378,28 +393,194 @@ let session_never_true_within sess ~conflicts ob out =
 type handle = {
   h_net : Network.t;
   h_act : Solver.lit;
-  h_miters : (string * Solver.lit) list;
+  h_miters : (string * Solver.lit) list;  (* outputs the sweep left apart *)
+  h_sim : outcome option;  (* a counterexample simulation already found *)
   mutable h_retired : bool;
 }
 
-let session_encode sess other =
-  validate sess.base other;
-  let act = fresh_activation sess in
-  let env_o =
-    Cnf.add_network ~inputs:sess.env.Cnf.inputs ~activation:act sess.s other
+(* Sweep simulation: [sweep_rounds] fixed-seed words of 63 vectors, the
+   same for the base and every operand, so equal signatures are
+   comparable across networks. *)
+let sweep_rounds = 4
+let sweep_seed = 0x5eed
+
+(* Conflicts one local proof may spend before its node stays unmerged.
+   The solver polls its interrupt only every 1,024 conflicts and at
+   restarts, so a proof can overrun this by up to that much. *)
+let sweep_conflicts = 1_000
+
+(* The signature of each node id: its word in every round's value
+   plane. *)
+let signatures bs words =
+  let planes =
+    Array.map
+      (fun w ->
+        let p = Array.make (Bitsim.size bs) 0 in
+        Bitsim.eval_into bs w p;
+        p)
+      words
   in
-  let miters =
+  let c = Bitsim.compiled bs in
+  fun i ->
+    let x = Compiled.index_of_id c i in
+    Array.map (fun p -> p.(x)) planes
+
+(* A signature and its complement share one key: the representative has
+   vector 0 at 0. *)
+let normalize sg =
+  if sg.(0) land 1 = 1 then (Array.map lnot sg, true) else (sg, false)
+
+let fanin_lits lit_of net i =
+  Array.of_list (List.map lit_of (Network.fanins net i))
+
+let build_sweep sess =
+  let base = sess.base in
+  let rng = Lowpower.Rng.create sweep_seed in
+  let n = List.length (Network.inputs base) in
+  let words =
+    Array.init sweep_rounds (fun _ ->
+        Array.init n (fun _ -> Lowpower.Rng.bernoulli_word rng 0.5))
+  in
+  let sig_of = signatures (Bitsim.of_network base) words in
+  let lit_of = Cnf.lit_of_node sess.env in
+  let own = Hashtbl.create 256 in
+  let by_struct = Hashtbl.create 256 in
+  let by_sig = Hashtbl.create 256 in
+  List.iter
+    (fun i ->
+      let l = lit_of i in
+      (* Later operands' clauses mention this literal: keep it out of
+         variable elimination. *)
+      Solver.freeze sess.s (Solver.var_of l);
+      if not (Network.is_input base i) then begin
+        let key = (Network.func base i, fanin_lits lit_of base i) in
+        Hashtbl.replace own i key;
+        if not (Hashtbl.mem by_struct key) then Hashtbl.replace by_struct key l
+      end;
+      let sg, compl = normalize (sig_of i) in
+      if not (Hashtbl.mem by_sig sg) then Hashtbl.replace by_sig sg (l, compl))
+    (Network.topo_order base);
+  let outs =
     List.map
       (fun nm ->
-        let la = Cnf.lit_of_output sess.env nm in
-        let lb = Cnf.lit_of_output env_o nm in
-        ( nm,
-          Cnf.lit_of_expr ~activation:act sess.s
-            ~leaf:(fun v -> if v = 0 then la else lb)
-            Expr.(var 0 ^^^ var 1) ))
-      (output_names sess.base)
+        let o = List.assoc nm (Network.outputs base) in
+        (nm, lit_of o, sig_of o))
+      (output_names base)
   in
-  { h_net = other; h_act = act; h_miters = miters; h_retired = false }
+  { words; own; by_struct; by_sig; outs }
+
+(* A literal true exactly when [a] and [b] differ, guarded by [act]. *)
+let miter_lit sess act a b =
+  Cnf.lit_of_expr ~activation:act sess.s
+    ~leaf:(fun v -> if v = 0 then a else b)
+    Expr.(var 0 ^^^ var 1)
+
+(* Local proof that operand literal [l] equals base literal [b] under
+   [act], within [sweep_conflicts]; [false] when refuted or over the cap. *)
+let prove_equal sess act l b =
+  let m = miter_lit sess act l b in
+  let c0 = (Solver.stats sess.s).Solver.conflicts in
+  Solver.set_interrupt sess.s (fun () ->
+      (Solver.stats sess.s).Solver.conflicts - c0 > sweep_conflicts);
+  let proved =
+    match Solver.solve ~assumptions:[ act; m ] sess.s with
+    | Solver.Unsat -> true
+    | Solver.Sat | (exception Solver.Interrupted) -> false
+  in
+  Solver.set_interrupt sess.s (fun () -> false);
+  proved
+
+(* A vector on which some output's signature differs from the base's:
+   the first differing lane of the first such output, in name order. *)
+let simulation_cex sw sig_of outputs =
+  List.find_map
+    (fun (nm, _, bsig) ->
+      let osig = sig_of (List.assoc nm outputs) in
+      let r = ref 0 in
+      while !r < sweep_rounds && osig.(!r) = bsig.(!r) do
+        incr r
+      done;
+      if !r = sweep_rounds then None
+      else begin
+        let d = osig.(!r) lxor bsig.(!r) in
+        let bit = ref 0 in
+        while (d lsr !bit) land 1 = 0 do
+          incr bit
+        done;
+        Some (Array.map (fun w -> (w lsr !bit) land 1 = 1) sw.words.(!r))
+      end)
+    sw.outs
+
+(* SAT sweep of [other] onto the base encoding, in topological order.  A
+   node whose function and fanin literals match a base node takes that
+   node's literal, its own base id first so an unchanged copy lands
+   exactly on the base; otherwise it is encoded under [act], and a
+   signature match with a base node earns a capped local proof whose
+   success substitutes the base literal in every later node. *)
+let sweep_lits sess sw act sig_of other =
+  let lits = Hashtbl.create 256 in
+  List.iteri
+    (fun k i -> Hashtbl.replace lits i sess.env.Cnf.inputs.(k))
+    (Network.inputs other);
+  List.iter
+    (fun i ->
+      if not (Network.is_input other i) then begin
+        let f = Network.func other i in
+        let fanins = fanin_lits (Hashtbl.find lits) other i in
+        let key = (f, fanins) in
+        let l =
+          match Hashtbl.find_opt sw.own i with
+          | Some k when k = key -> Cnf.lit_of_node sess.env i
+          | _ -> (
+            match Hashtbl.find_opt sw.by_struct key with
+            | Some l -> l
+            | None -> (
+              let l =
+                Cnf.lit_of_expr ~activation:act sess.s
+                  ~leaf:(fun v -> fanins.(v))
+                  f
+              in
+              let sg, compl = normalize (sig_of i) in
+              match Hashtbl.find_opt sw.by_sig sg with
+              | Some (b, bcompl) ->
+                let b = if compl = bcompl then b else Solver.negate b in
+                if b <> l && prove_equal sess act l b then b else l
+              | None -> l))
+        in
+        Hashtbl.replace lits i l
+      end)
+    (Network.topo_order other);
+  Hashtbl.find lits
+
+let session_encode sess other =
+  validate sess.base other;
+  let sw =
+    match sess.sweep with
+    | Some sw -> sw
+    | None ->
+      let sw = build_sweep sess in
+      sess.sweep <- Some sw;
+      sw
+  in
+  let act = fresh_activation sess in
+  let outputs = Network.outputs other in
+  let handle miters sim =
+    { h_net = other; h_act = act; h_miters = miters; h_sim = sim;
+      h_retired = false }
+  in
+  let sig_of = signatures (Bitsim.of_network other) sw.words in
+  match simulation_cex sw sig_of outputs with
+  | Some vec -> handle [] (Some (confirmed sess.base other vec))
+  | None ->
+    let lit_of = sweep_lits sess sw act sig_of other in
+    let miters =
+      List.filter_map
+        (fun (nm, bl, _) ->
+          let ol = lit_of (List.assoc nm outputs) in
+          if ol = bl then None else Some (nm, miter_lit sess act bl ol))
+        sw.outs
+    in
+    handle miters None
 
 let session_recheck sess h =
   if h.h_retired then invalid_arg "Cec.session_recheck: handle retired";
@@ -414,7 +595,7 @@ let session_recheck sess h =
         in
         confirmed sess.base h.h_net vec)
   in
-  go h.h_miters
+  match h.h_sim with Some r -> r | None -> go h.h_miters
 
 let session_retire sess h =
   if not h.h_retired then begin

@@ -17,10 +17,16 @@
     Two throughput mechanisms sit on top of the one-shot check.
     {e Sessions} ({!session}) keep one live solver holding the Tseitin
     encoding of a base network and discharge a stream of obligations
-    against it — each obligation encodes only its suffix, guarded by an
+    against it — each obligation adds only clauses guarded by an
     activation literal that is assumed during its check and retired (unit
     negated, then reclaimed by {!Solver.simplify}) afterwards, so learned
     clauses accumulate across obligations instead of being rebuilt.
+    Equivalence obligations ({!session_check}) are {e SAT-swept} onto the
+    base encoding: a node that matches a base node structurally, or that
+    a short local proof shows equal to a base node with the same
+    simulation signature, reuses the base literal, so only outputs the
+    sweep could not merge reach a full miter — an unchanged copy costs
+    no search at all.
     {e Portfolios} race [N] diversified solvers on one hard query via
     {!Solver.solve_portfolio}; the lane count defaults to the
     [LOWPOWER_SAT_PORTFOLIO] environment variable (unset or [<= 1] means
@@ -117,26 +123,41 @@ val session_never_true_within :
     Exceptions as {!session_never_true}. *)
 
 val session_check : session -> Network.t -> outcome
-(** [session_check sess other]: per-output miter check of [other] against
-    the session's base over shared input literals, one assumption-guarded
-    SAT call per output — no simulation pre-filter, no re-encoding of the
-    base.  [other]'s encoding is activation-guarded and retired after the
-    verdict.  Counterexamples are replay-confirmed as in {!check}.
-    Raises [Invalid_argument] as {!check}. *)
+(** [session_check sess other]: decide whether [other] computes the
+    base's outputs — {!session_encode}, {!session_recheck}, then
+    {!session_retire}.  The base is never re-encoded; the verdict is as
+    complete as {!check}'s.  Counterexamples are replay-confirmed as in
+    {!check}, but need not be the vector {!check} would return.  Raises
+    [Invalid_argument] as {!check}. *)
 
 type handle
-(** An operand network encoded into a session but not yet retired, so its
-    per-output checks can be re-discharged without re-encoding. *)
+(** An operand network swept into a session but not yet retired, so its
+    remaining output miters can be re-discharged without re-encoding. *)
 
 val session_encode : session -> Network.t -> handle
-(** Encode an operand (shared inputs, activation-guarded, per-output
-    miter literals) without solving.  Raises [Invalid_argument] as
-    {!check}. *)
+(** Sweep an operand onto the base encoding.  It is simulated first on a
+    few fixed-seed words of 63 vectors, the same for every operand; if
+    an output disagrees with the base there, the handle carries that
+    replay-confirmed counterexample and nothing is encoded.  Otherwise
+    the operand is walked in topological order: a node whose function
+    and fanin literals match a base node (its own id first) takes the
+    base literal; any other node is encoded under the handle's
+    activation literal, and if its signature equals or complements a
+    base node's, one local SAT proof — capped at about a thousand
+    conflicts — decides whether the base literal replaces it in every
+    later node.  Only outputs whose literals still differ from the
+    base's get a miter.  So this call runs the solver (the local proofs)
+    and grows the session's learned clauses; the first call also builds
+    the base's signatures and lookup tables and freezes the base's node
+    variables, which sessions used only for {!session_never_true} never
+    do.  Raises [Invalid_argument] as {!check}. *)
 
 val session_recheck : session -> handle -> outcome
-(** Discharge every per-output miter of the handle — assumption solves
-    only; after the first call, later calls ride entirely on retained
-    learned clauses.  Raises [Invalid_argument] on a retired handle. *)
+(** The handle's verdict: its simulation counterexample if it has one,
+    else one uncapped assumption solve per remaining output miter
+    ([Equivalent] at once when the sweep merged every output).  After
+    the first call, later calls ride on retained learned clauses.
+    Raises [Invalid_argument] on a retired handle. *)
 
 val session_retire : session -> handle -> unit
 (** Permanently retire the handle's encoding (unit-negate its activation

@@ -21,7 +21,7 @@ type artifact =
   | A_bitsim of Bitsim.t
   | A_cone of (string * float) array
   | A_cover of Cover.t
-  | A_cec of Cec.outcome
+  | A_equivalent
   | A_dualvth of Dualvth.result
   | A_activity of float
   | A_annotation of Annotation.t
@@ -266,9 +266,18 @@ let cec_key a b =
     (combine k_cec (Network.structural_hash a))
     (Network.structural_hash b)
 
+(* Only [Equivalent] is stored under the pair key.  Every prover must
+   agree on it, but each finds its own counterexample (a session's SAT
+   model, [Cec.check]'s simulation vector), so a cached vector would let
+   whichever prover ran first decide what the other returns. *)
 let check_with t a b prove =
-  match memoize t (cec_key a b) (fun () -> A_cec (prove ())) with
-  | A_cec o -> o
-  | _ -> assert false
+  let key = cec_key a b in
+  match find t key with
+  | Some A_equivalent -> Cec.Equivalent
+  | Some _ -> assert false
+  | None ->
+    let o = prove () in
+    if o = Cec.Equivalent then insert t key A_equivalent;
+    o
 
 let check t a b = check_with t a b (fun () -> Cec.check a b)

@@ -5,8 +5,8 @@
     re-proves a pair the previous batch already settled.  This store
     caches the four expensive derived artifacts — compiled forms
     ({!Compiled.t} and {!Bitsim.t}), BDD cone results (exact per-output
-    signal probabilities), espresso cover minimizations, and CEC
-    verdicts — keyed by {!Network.structural_hash} (plus an option
+    signal probabilities), espresso cover minimizations, and proved CEC
+    equivalences — keyed by {!Network.structural_hash} (plus an option
     fingerprint: input probabilities, don't-care content, operand pair).
 
     Keys are pure 63-bit content hashes; entries store no witness of the
@@ -66,17 +66,19 @@ val minimize : t -> ?dc:Cover.t -> Cover.t -> Cover.t
     variable count. *)
 
 val check : t -> Network.t -> Network.t -> Cec.outcome
-(** [Cec.check a b], keyed by the ordered hash pair.  Counterexamples are
-    cached too — replaying a stored vector is as sound as replaying a
-    fresh one. *)
+(** [Cec.check a b], keyed by the ordered hash pair.  Only [Equivalent]
+    is cached: a counterexample is recomputed on every call, so the
+    vector returned is always [Cec.check]'s own, whichever prover
+    ({!check_with}) saw the pair first. *)
 
 val check_with :
   t -> Network.t -> Network.t -> (unit -> Cec.outcome) -> Cec.outcome
-(** Like {!check} (same key), but a miss runs the supplied prover instead
-    of a fresh [Cec.check] — how {!Tournament} shares one incremental
-    {!Cec.session} across candidates while still hitting the cache when a
-    batch repeats a circuit.  The prover must decide the same question as
-    [Cec.check a b]. *)
+(** Like {!check} (same key, [Equivalent] only), but a miss runs the
+    supplied prover instead of a fresh [Cec.check] — how {!Tournament}
+    shares one incremental {!Cec.session} across candidates while still
+    hitting the cache when a batch repeats a circuit.  The prover must
+    decide the same question as [Cec.check a b]; a refuted pair returns
+    the prover's own counterexample. *)
 
 val dfg_activity :
   t -> Dfg.t -> fingerprint:int -> (unit -> float) -> float

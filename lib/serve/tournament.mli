@@ -94,8 +94,9 @@ val run :
     over the vector stream (per cycle) and the default roster gains the
     [measured] strategy; otherwise by exact zero-delay activity under
     [input_probs].  With [memo], measured annotations, espresso covers
-    and CEC verdicts are served from / inserted into the shared cache (a
-    cached verdict skips the session query entirely; a cached annotation
+    and proved equivalences are served from / inserted into the shared
+    cache (a cached equivalence skips the session query entirely; a
+    refuted candidate is re-checked every time; a cached annotation
     scores bit-identically to a fresh measurement).  The
     source is never mutated.  Raises [Invalid_argument] if no strategy
     produces a verified candidate (an all-refuted roster — impossible

@@ -588,7 +588,11 @@ let test_verify_session_on_passes () =
        ())
 
 (* Acceptance: incremental sessions and the one-shot oracle return
-   identical verdicts across 150+ random synthesized nets. *)
+   identical verdicts across 150+ random synthesized nets.  Each net is
+   checked in one session against several restructurings — don't-care
+   simplification plus balancing, subject-graph decomposition, a mapped
+   netlist and plain balancing — each one-node-mutated a third of the
+   time, so the sweep meets both merges and refutations. *)
 let prop_session_agrees_with_oneshot =
   prop ~count:150 "Cec session verdicts equal one-shot verdicts"
     QCheck2.Gen.(
@@ -606,37 +610,125 @@ let prop_session_agrees_with_oneshot =
         (int_bound 100_000) (int_bound 16))
     (fun (seed, net) ->
       let r = Lowpower.Rng.create (seed + 41) in
-      let derived = Network.copy net in
-      ignore (Dontcare.optimize ~verify:`Off derived Dontcare.For_area);
-      let derived, _ = Balance.balance ~verify:`Off derived in
-      if Lowpower.Rng.int r 3 = 0 then begin
-        let logic =
-          List.filter
-            (fun i -> not (Network.is_input derived i))
-            (Network.node_ids derived)
-        in
-        let victim = List.nth logic (Lowpower.Rng.int r (List.length logic)) in
-        Network.replace_func derived victim
-          (Expr.not_ (Network.func derived victim))
-          (Network.fanins derived victim)
-      end;
-      let oneshot =
-        match Cec.check ~seed:(seed + 31) net derived with
-        | Cec.Equivalent -> true
-        | Cec.Counterexample _ -> false
+      let mutate derived =
+        if Lowpower.Rng.int r 3 = 0 then begin
+          let logic =
+            List.filter
+              (fun i -> not (Network.is_input derived i))
+              (Network.node_ids derived)
+          in
+          let victim = List.nth logic (Lowpower.Rng.int r (List.length logic)) in
+          Network.replace_func derived victim
+            (Expr.not_ (Network.func derived victim))
+            (Network.fanins derived victim)
+        end;
+        derived
       in
+      let optimized () =
+        let derived = Network.copy net in
+        ignore (Dontcare.optimize ~verify:`Off derived Dontcare.For_area);
+        fst (Balance.balance ~verify:`Off derived)
+      in
+      let decomposed () = Subject.decompose (Network.copy net) in
+      let mapped () =
+        Mapper.netlist (Mapper.map ~verify:`Off (decomposed ()) Mapper.Area)
+      in
+      let balanced () = fst (Balance.balance ~verify:`Off (Network.copy net)) in
       let sess = Cec.session net in
-      let incremental =
-        match Cec.session_check sess derived with
-        | Cec.Equivalent -> true
-        | Cec.Counterexample vec ->
-          if
-            List.sort compare (Network.eval_outputs net vec)
-            = List.sort compare (Network.eval_outputs derived vec)
-          then Alcotest.fail "session returned a bogus counterexample"
-          else false
+      List.for_all
+        (fun build ->
+          match build () with
+          (* A constant node has no subject graph. *)
+          | exception Invalid_argument _ -> true
+          | derived ->
+            let derived = mutate derived in
+            let oneshot =
+              match Cec.check ~seed:(seed + 31) net derived with
+              | Cec.Equivalent -> true
+              | Cec.Counterexample _ -> false
+            in
+            let incremental =
+              match Cec.session_check sess derived with
+              | Cec.Equivalent -> true
+              | Cec.Counterexample vec ->
+                if
+                  List.sort compare (Network.eval_outputs net vec)
+                  = List.sort compare (Network.eval_outputs derived vec)
+                then Alcotest.fail "session returned a bogus counterexample"
+                else false
+            in
+            incremental = oneshot)
+        [ optimized; decomposed; mapped; balanced ])
+
+(* Two base nodes that agree on every sweep vector but not everywhere:
+   a 16-input AND is 1 on one vector in 65,536, so on the sweep's 252
+   random vectors its signature is constant 0.  A candidate that swaps
+   one for the other must be refuted by SAT, not merged. *)
+let test_cec_session_aliasing () =
+  let base = Network.create () in
+  let ins = List.init 16 (fun _ -> Network.add_input base) in
+  let all =
+    Network.add_node base (Expr.and_list (List.init 16 Expr.var)) ins
+  in
+  let zero = Network.add_node base Expr.fls [] in
+  Network.set_output base "all" all;
+  Network.set_output base "zero" zero;
+  let refuted what cand =
+    let sess = Cec.session base in
+    match Cec.session_check sess cand with
+    | Cec.Equivalent -> Alcotest.failf "%s: aliased nodes merged" what
+    | Cec.Counterexample vec ->
+      Alcotest.(check bool) (what ^ ": counterexample replays") true
+        (Cec.replay base cand vec);
+      Alcotest.(check bool) (what ^ ": decided by SAT, not simulation") true
+        ((Cec.session_stats sess).Solver.propagations > 0)
+  in
+  let swapped = Network.copy base in
+  Network.set_output swapped "all" zero;
+  refuted "output swapped to the constant" swapped;
+  (* A new node with the same all-zero signature earns a local proof
+     against a base node, which SAT refutes. *)
+  let near = Network.copy base in
+  let x15 = List.nth ins 15 in
+  let almost =
+    Network.add_node near
+      Expr.(and_list (List.init 15 var) &&& not_ (var 15))
+      (List.filter (fun i -> i <> x15) ins @ [ x15 ])
+  in
+  Network.set_output near "all" almost;
+  refuted "new node aliasing the AND" near
+
+(* An unchanged copy lands on the base encoding node for node — own ids
+   first, so duplicated base nodes too — and costs the solver nothing. *)
+let test_cec_session_copy_is_free () =
+  let dup = Network.create () in
+  let a = Network.add_input dup and b = Network.add_input dup in
+  let g1 = Network.add_node dup Expr.(var 0 &&& var 1) [ a; b ] in
+  let g2 = Network.add_node dup Expr.(var 0 &&& var 1) [ a; b ] in
+  Network.set_output dup "x" g1;
+  Network.set_output dup "y" (Network.add_node dup Expr.(not_ (var 0)) [ g2 ]);
+  List.iter
+    (fun (what, base) ->
+      let sess = Cec.session base in
+      let twice () =
+        let before = Cec.session_stats sess in
+        Alcotest.(check bool) (what ^ ": copy equivalent") true
+          (Cec.session_check sess (Network.copy base) = Cec.Equivalent);
+        let after = Cec.session_stats sess in
+        Alcotest.(check int) (what ^ ": no conflicts") before.Solver.conflicts
+          after.Solver.conflicts;
+        Alcotest.(check int) (what ^ ": no decisions") before.Solver.decisions
+          after.Solver.decisions
       in
-      incremental = oneshot)
+      twice ();
+      (* Still free on a warm session, after a restructured candidate. *)
+      ignore (Cec.session_check sess (Subject.decompose (Network.copy base)));
+      twice ())
+    [
+      ("mult5", (Circuits.array_multiplier 5).Circuits.net);
+      ("cla8", (Circuits.carry_lookahead_adder 8).Circuits.net);
+      ("duplicated nodes", dup);
+    ]
 
 (* Satellite: on random networks, SAT-based CEC agrees with the BDD oracle
    whenever the BDDs stay under a node cap (they always do at this size). *)
@@ -728,5 +820,7 @@ let suite =
     quick "cec session never-true obligations" test_cec_session_never_true;
     quick "verify sessions on guard/precompute" test_verify_session_on_passes;
     prop_session_agrees_with_oneshot;
+    quick "cec session refutes simulation aliases" test_cec_session_aliasing;
+    quick "cec session copy costs no search" test_cec_session_copy_is_free;
     prop_cec_agrees_with_bdd;
   ]

@@ -150,6 +150,39 @@ let test_memo_cec () =
   Alcotest.(check int) "one cec miss" 1 s.Memo.misses;
   Alcotest.(check int) "one cec hit" 1 s.Memo.hits
 
+(* The session prover and [Cec.check] find different counterexamples for
+   the same refuted pair; sharing one key must not let whichever ran
+   first decide what the other returns (on a multi-domain pool that
+   would be scheduling deciding a batch digest). *)
+let test_memo_cec_prover_order () =
+  let net = mk_net 13 in
+  let mutant = Network.copy net in
+  let victim =
+    List.find
+      (fun i -> not (Network.is_input mutant i))
+      (List.rev (Network.topo_order mutant))
+  in
+  Network.replace_func mutant victim
+    (Expr.not_ (Network.func mutant victim))
+    (Network.fanins mutant victim);
+  let session () =
+    let sess = Cec.session net in
+    Cec.session_check sess mutant
+  in
+  let fresh_session = session () in
+  let fresh_check = Cec.check net mutant in
+  Alcotest.(check bool) "mutant refuted" true (fresh_check <> Cec.Equivalent);
+  let m = Memo.create () in
+  Alcotest.(check bool) "session first: fresh session verdict" true
+    (Memo.check_with m net mutant session = fresh_session);
+  Alcotest.(check bool) "then check: fresh check verdict" true
+    (Memo.check m net mutant = fresh_check);
+  let m = Memo.create () in
+  Alcotest.(check bool) "check first: fresh check verdict" true
+    (Memo.check m net mutant = fresh_check);
+  Alcotest.(check bool) "then session: fresh session verdict" true
+    (Memo.check_with m net mutant session = fresh_session)
+
 let test_memo_eviction () =
   let m = Memo.create ~capacity:4 () in
   for seed = 1 to 12 do
@@ -463,6 +496,7 @@ let suite =
     quick "memo cone probabilities" test_memo_cone_probs;
     quick "memo cover minimization" test_memo_minimize;
     quick "memo cec verdicts" test_memo_cec;
+    quick "memo cec verdict independent of prover order" test_memo_cec_prover_order;
     quick "memo lru eviction" test_memo_eviction;
     quick "tournament champion verified" test_tournament_champion_verified;
     quick "tournament dualvth candidate" test_tournament_dualvth_candidate;
