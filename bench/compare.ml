@@ -49,17 +49,22 @@ let parse path =
    with End_of_file -> close_in ic);
   List.rev !entries
 
-(* Mid-name variants pair by swapping the marker in place:
-   sta_incremental_1k <-> sta_full_1k. *)
-let swap_infix s a b =
-  let ls = String.length s and la = String.length a in
-  let rec find i =
-    if i + la > ls then None
-    else if String.sub s i la = a then
-      Some (String.sub s 0 i ^ b ^ String.sub s (i + la) (ls - i - la))
-    else find (i + 1)
-  in
-  find 0
+(* The designed pairs in BENCH.json: a variant and the entry it is
+   measured against, timing the same work two ways.  The ratio between
+   them is the number the pair exists to demonstrate. *)
+let pairs =
+  [ ("event_sim_mult4_50vec_reference", "event_sim_mult4_50vec");
+    ("sta_incremental_1k", "sta_full_1k");
+    ("actsim_incremental_1k", "actsim_full_1k");
+    ("prob_simulated_mult4_4k_bitsim", "prob_simulated_mult4_4k");
+    ("seq_sim_counter16_1k_bitsim", "seq_sim_counter16_1k");
+    ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored");
+    ("batch_1000_mixed_serial", "batch_1000_mixed") ]
+
+(* Sub-percent ratios are the headline of incremental variants; two
+   decimals would print them as 0.00x. *)
+let ratio_string r =
+  if r < 0.01 then Printf.sprintf "%.4fx" r else Printf.sprintf "%.2fx" r
 
 let () =
   let fresh_path, base_path =
@@ -100,32 +105,18 @@ let () =
   let added =
     List.filter (fun (name, _) -> not (List.mem_assoc name base)) fresh
   in
-  (* An added entry has no baseline, but often has a sibling measured in
-     the same fresh run — the [_reference]/[_incremental]/... variant of
-     the same workload — whose ratio is the number the new entry exists to
-     demonstrate.  Report it instead of printing the entry contextless. *)
+  (* An added entry has no baseline, but if it belongs to a designed pair
+     its sibling was measured in the same fresh run; report the ratio
+     instead of printing the entry contextless. *)
   let sibling_of name =
-    let suffixes =
-      [ "_reference"; "_incremental"; "_bitsim"; "_portfolio"; "_serial";
-        "_greedy"; "_beam" ]
-    in
-    let strip s suf =
-      let ls = String.length s and lf = String.length suf in
-      if ls > lf && String.sub s (ls - lf) lf = suf then
-        Some (String.sub s 0 (ls - lf))
-      else None
-    in
-    let candidates =
-      List.filter_map (fun suf -> strip name suf) suffixes
-      @ List.map (fun suf -> name ^ suf) suffixes
-      @ List.filter_map
-          (fun (a, b) -> swap_infix name a b)
-          [ ("_incremental", "_full"); ("_full", "_incremental");
-            ("_greedy", "_beam"); ("_beam", "_greedy") ]
-    in
-    List.find_map
-      (fun c -> Option.map (fun v -> (c, v)) (List.assoc_opt c fresh))
-      candidates
+    match
+      List.find_map
+        (fun (a, b) ->
+          if name = a then Some b else if name = b then Some a else None)
+        pairs
+    with
+    | Some sib -> Option.map (fun v -> (sib, v)) (List.assoc_opt sib fresh)
+    | None -> None
   in
   if added <> [] then begin
     print_newline ();
@@ -133,15 +124,8 @@ let () =
       (fun (name, f) ->
         match sibling_of name with
         | Some (snm, sv) ->
-          let r = f /. sv in
-          (* Sub-percent ratios are the headline of incremental variants;
-             two decimals would print them as 0.00x. *)
-          let rs =
-            if r < 0.01 then Printf.sprintf "%.4fx" r
-            else Printf.sprintf "%.2fx" r
-          in
           Printf.printf "%-36s %14s %14.1f   ADDED (%s of sibling %s)\n"
-            name "-" f rs snm
+            name "-" f (ratio_string (f /. sv)) snm
         | None ->
           Printf.printf "%-36s %14s %14.1f   ADDED (no baseline)\n" name "-" f)
       added
@@ -159,20 +143,14 @@ let () =
       (List.length removed)
       (if List.length removed = 1 then "y" else "ies")
   end;
-  (* Every _incremental entry with a _full sibling in the fresh run is a
-     designed pair (incremental STA, incremental activity, ...): the
-     speedup between them is the number the pair exists to demonstrate,
-     so it rides on the summary line of both outcomes. *)
+  (* Each designed pair measured in the fresh run rides on the summary
+     line of both outcomes. *)
   let pair_summary =
-    fresh
-    |> List.filter_map (fun (name, f) ->
-           match swap_infix name "_incremental" "_full" with
-           | Some full_name when f > 0.0 ->
-             Option.map
-               (fun fv ->
-                 Printf.sprintf "%s %.1fx faster than %s" name (fv /. f)
-                   full_name)
-               (List.assoc_opt full_name fresh)
+    pairs
+    |> List.filter_map (fun (a, b) ->
+           match (List.assoc_opt a fresh, List.assoc_opt b fresh) with
+           | Some av, Some bv when bv > 0.0 ->
+             Some (Printf.sprintf "%s %s of %s" a (ratio_string (av /. bv)) b)
            | _ -> None)
     |> function
     | [] -> ""

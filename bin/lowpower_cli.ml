@@ -10,19 +10,26 @@
 
 open Cmdliner
 
-let build_circuit name width seed =
-  match name with
-  | "adder" -> (Circuits.ripple_adder width).Circuits.net
-  | "csel" -> (Circuits.carry_select_adder width).Circuits.net
-  | "multiplier" -> (Circuits.array_multiplier width).Circuits.net
-  | "comparator" -> (Circuits.comparator width).Circuits.net
-  | "random" ->
-    Gen_comb.random (Lowpower.Rng.create seed)
-      { Gen_comb.default_shape with Gen_comb.num_inputs = width }
-  | other -> failwith ("unknown circuit " ^ other)
+(* A fixed-choice argument over the names of [table]: Cmdliner rejects
+   any other value as a usage error (exit 124) listing the valid ones, so
+   [List.assoc name table] cannot fail on a parsed name. *)
+let one_of table = Arg.enum (List.map (fun (name, _) -> (name, name)) table)
+
+let circuits =
+  [ ("adder", fun width _ -> (Circuits.ripple_adder width).Circuits.net);
+    ("csel", fun width _ -> (Circuits.carry_select_adder width).Circuits.net);
+    ("multiplier",
+     fun width _ -> (Circuits.array_multiplier width).Circuits.net);
+    ("comparator", fun width _ -> (Circuits.comparator width).Circuits.net);
+    ("random",
+     fun width seed ->
+       Gen_comb.random (Lowpower.Rng.create seed)
+         { Gen_comb.default_shape with Gen_comb.num_inputs = width }) ]
+
+let build_circuit name width seed = List.assoc name circuits width seed
 
 let circuit_arg =
-  Arg.(value & opt string "adder"
+  Arg.(value & opt (one_of circuits) "adder"
        & info [ "circuit" ] ~docv:"NAME"
            ~doc:"Workload: adder, csel, multiplier, comparator, random.")
 
@@ -67,18 +74,18 @@ let analyze_cmd =
 
 (* --- map --- *)
 
+let objectives =
+  [ ("area", fun _ _ -> Mapper.Area);
+    ("delay", fun _ _ -> Mapper.Delay);
+    ("power",
+     fun subj input_probs ->
+       Mapper.Power (Activity.zero_delay subj ~input_probs)) ]
+
 let map_run circuit width seed objective =
   let net = build_circuit circuit width seed in
   let subj = Subject.decompose net in
   let input_probs = Probability.uniform_inputs subj in
-  let obj =
-    match objective with
-    | "area" -> Mapper.Area
-    | "delay" -> Mapper.Delay
-    | "power" -> Mapper.Power (Activity.zero_delay subj ~input_probs)
-    | other -> failwith ("unknown objective " ^ other)
-  in
-  let m = Mapper.map subj obj in
+  let m = Mapper.map subj (List.assoc objective objectives subj input_probs) in
   Printf.printf "objective: %s\narea: %.1f\ncritical delay: %.1f\n"
     objective (Mapper.total_area m) (Mapper.critical_delay m);
   Printf.printf "switched capacitance: %.1f units/cycle\ncells:\n"
@@ -87,7 +94,7 @@ let map_run circuit width seed objective =
 
 let map_cmd =
   let objective =
-    Arg.(value & opt string "power"
+    Arg.(value & opt (one_of objectives) "power"
          & info [ "objective" ] ~doc:"area, delay or power.")
   in
   Cmd.v (Cmd.info "map" ~doc:"Technology mapping (DAGON tree covering)")
@@ -294,7 +301,7 @@ let check_run circuit_a circuit_b width seed mutate portfolio =
 
 let check_cmd =
   let pos_circuit n name =
-    Arg.(value & pos n string "adder"
+    Arg.(value & pos n (one_of circuits) "adder"
          & info [] ~docv:name
              ~doc:"Circuit: adder, csel, multiplier, comparator, random.")
   in
@@ -562,34 +569,17 @@ let size_cmd =
 
 (* --- rewrite --- *)
 
-let rewrite_run workload taps width beam samples trace_len seed model coeffs
-    measured =
+let workloads =
+  [ ("fir", fun taps coeffs width -> Gen_dfg.fir ~taps ?coeffs ~width ());
+    ("mac", fun taps coeffs width -> Gen_dfg.mac_chain ~taps ?coeffs ~width ());
+    ("biquad", fun _ _ _ -> Gen_dfg.biquad ()) ]
+
+let rewrite_run workload taps width samples trace_len seed model coeffs =
   let r = Lowpower.Rng.create seed in
-  let coeffs =
-    match coeffs with
-    | "" -> None
-    | s -> Some (List.map int_of_string (String.split_on_char ',' s))
-  in
-  let dfg =
-    match workload with
-    | "fir" -> Gen_dfg.fir ~taps ?coeffs ~width ()
-    | "mac" -> Gen_dfg.mac_chain ~taps ?coeffs ~width ()
-    | "biquad" -> Gen_dfg.biquad ()
-    | other -> failwith ("unknown workload " ^ other)
-  in
+  let dfg = List.assoc workload workloads taps coeffs width in
   let trace = Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true () in
-  let model =
-    if measured then Cost.Toggles
-    else
-      match model with
-      | "auto" -> Cost.default_model ()
-      | "toggles" -> Cost.Toggles
-      | "independence" -> Cost.Independence
-      | "area" -> Cost.Area
-      | other -> failwith ("unknown cost model " ^ other)
-  in
   let memo = Memo.create () in
-  let res = Search.run ~beam ~samples ~memo ~model ~rng:r dfg ~trace in
+  let res = Search.run ~samples ~memo ?model ~rng:r dfg ~trace in
   let model_name =
     match res.Search.model with
     | Cost.Toggles -> "toggles"
@@ -597,9 +587,8 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs
     | Cost.Area -> "area"
   in
   Printf.printf
-    "rewrite %s (taps %d, width %d): %s cost over %d correlated vectors, \
-     beam %d\n"
-    workload taps (Dfg.width dfg) model_name trace_len res.Search.beam;
+    "rewrite %s (taps %d, width %d): %s cost over %d correlated vectors\n"
+    workload taps (Dfg.width dfg) model_name trace_len;
   Printf.printf "  ops %d -> %d\n" (Dfg.num_ops dfg)
     (Dfg.num_ops res.Search.final);
   List.iter
@@ -630,18 +619,12 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs
 
 let rewrite_cmd =
   let workload =
-    Arg.(value & opt string "fir"
+    Arg.(value & opt (one_of workloads) "fir"
          & info [ "workload" ] ~docv:"NAME"
              ~doc:"Datapath to rewrite: fir, mac, biquad.")
   in
   let taps =
     Arg.(value & opt int 8 & info [ "taps" ] ~docv:"N" ~doc:"Filter taps.")
-  in
-  let beam =
-    Arg.(value & opt int (Search.default_beam ())
-         & info [ "beam" ] ~docv:"N"
-             ~doc:"Beam width (1 = greedy; default \
-                   LOWPOWER_REWRITE_BEAM, else 4).")
   in
   let samples =
     Arg.(value & opt int 64
@@ -656,28 +639,27 @@ let rewrite_cmd =
                    over.")
   in
   let model =
-    Arg.(value & opt string "auto"
+    Arg.(value
+         & opt
+             (enum
+                [ ("auto", None); ("toggles", Some Cost.Toggles);
+                  ("independence", Some Cost.Independence);
+                  ("area", Some Cost.Area) ])
+             None
          & info [ "model" ] ~docv:"M"
              ~doc:"Cost model: auto, toggles, independence, area.")
   in
   let coeffs =
-    Arg.(value & opt string ""
+    Arg.(value & opt (some (list int)) None
          & info [ "coeffs" ] ~docv:"C1,C2,..."
              ~doc:"Comma-separated filter coefficients (default: small odd \
                    constants).")
   in
-  let measured =
-    Arg.(value & flag
-         & info [ "measured" ]
-             ~doc:"Force the measured toggle-count cost model (overrides \
-                   --model), keeping the search trace-driven even where \
-                   the heuristic would fall back to a cheaper model.")
-  in
   Cmd.v
     (Cmd.info "rewrite"
        ~doc:"Activity-costed datapath rewriting with SAT-verified search")
-    Term.(const rewrite_run $ workload $ taps $ width_arg 8 $ beam $ samples
-          $ trace_len $ seed_arg $ model $ coeffs $ measured)
+    Term.(const rewrite_run $ workload $ taps $ width_arg 8 $ samples
+          $ trace_len $ seed_arg $ model $ coeffs)
 
 (* --- batch --- *)
 

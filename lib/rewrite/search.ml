@@ -1,15 +1,14 @@
-(* Deterministic greedy-or-beam rewrite search.  Each step enumerates
-   every (rule, site) application over the frontier, costs the candidates
-   (memo-cached; duplicates pruned by [Dfg.structural_hash]), and admits
-   the cheapest into the next frontier — but only after the two-stage
-   equivalence gate: [Transform.equivalent] random execution first (the
-   cheap filter), then a SAT sweep ([Elaborate.sweep]) through one
-   shared incremental session holding the original's encoding.  Proofs
-   are relative to the candidate's frontier parent — itself proven, so
-   transitivity closes the chain back to the original — with
-   simulation-signature cut-points merging everything the one new
-   rewrite did not touch; each obligation is built into a copy of the
-   base netlist, so [Cec.session_never_true] encodes only small local
+(* Deterministic greedy rewrite search.  Each step enumerates every
+   (rule, site) application to the current graph, costs the candidates
+   (memo-cached; graphs seen before pruned by [Dfg.structural_hash]), and
+   moves to the cheapest one that passes the two-stage equivalence gate:
+   [Transform.equivalent] random execution first (the cheap filter), then
+   a SAT sweep ([Elaborate.sweep]) through one shared incremental session
+   holding the original's encoding.  Proofs are relative to the current
+   graph — itself proven, so transitivity closes the chain back to the
+   original — with simulation-signature cut-points merging everything the
+   one new rewrite did not touch; each obligation is built into a copy of
+   the base netlist, so [Cec.session_never_true] encodes only small local
    cones however deep the search runs.  A candidate failing either stage
    is recorded as refuted and never applied. *)
 
@@ -37,21 +36,21 @@ type result = {
   undecided : int;
   sat : Solver.stats;
   model : Cost.model;
-  beam : int;
 }
 
-let default_beam () =
-  match Sys.getenv_opt "LOWPOWER_REWRITE_BEAM" with
-  | None -> 4
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
+(* The search stops after this many steps in a row that do not improve
+   the best cost. *)
+let patience = 2
+
+(* Conflicts each SAT call may spend before its candidate is skipped. *)
+let sat_budget = 60_000
 
 type state = { g : Dfg.t; c : float; trail : step list (* reversed *) }
 
 exception Undecided_proof
 
-let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
-    ?(samples = 64) ?(sat_budget = 60_000) ?memo ?model ~rng dfg ~trace =
-  let beam = match beam with Some b -> max 1 b | None -> default_beam () in
+let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
+    ~rng dfg ~trace =
   let model = match model with Some m -> m | None -> Cost.default_model () in
   (* Every candidate is elaborated and costed over the original input
      set, so input positions line up for [Cec] and input-pin activity is
@@ -67,34 +66,24 @@ let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
      the sweep merge it onto the parent's gates.  Map each signature to
      the first (in topo order) parent node computing it; the hash set
      skips candidate nodes the structural gate cache resolves without
-     any proof.  Tables are cached per parent, keyed structurally. *)
-  let sig_cache = Hashtbl.create 16 in
+     any proof. *)
   let sig_tables parent =
-    let key = Dfg.structural_hash parent in
-    match Hashtbl.find_opt sig_cache key with
-    | Some t -> t
-    | None ->
-      let sigs = Hashtbl.create 64 and hashes = Hashtbl.create 64 in
-      if trace <> [] then begin
-        let vt = Dfg.value_trace parent trace in
-        List.iter
-          (fun i ->
-            Hashtbl.replace hashes (Dfg.node_hash parent i) ();
-            let s = Hashtbl.find vt i in
-            let cls =
-              match Hashtbl.find_opt sigs s with Some l -> l | None -> []
-            in
-            Hashtbl.replace sigs s (i :: cls))
-          (Dfg.nodes parent)
-      end;
-      Hashtbl.replace sig_cache key (sigs, hashes);
-      (sigs, hashes)
+    let sigs = Hashtbl.create 64 and hashes = Hashtbl.create 64 in
+    let vt = Dfg.value_trace parent trace in
+    List.iter
+      (fun i ->
+        Hashtbl.replace hashes (Dfg.node_hash parent i) ();
+        let s = Hashtbl.find vt i in
+        let cls = match Hashtbl.find_opt sigs s with Some l -> l | None -> [] in
+        Hashtbl.replace sigs s (i :: cls))
+      (Dfg.nodes parent);
+    (sigs, hashes)
   in
   let max_pairs = 16 in
-  let cut_pairs parent cand =
+  let cut_pairs tables cand =
     if trace = [] then []
     else begin
-      let sigs, hashes = sig_tables parent in
+      let sigs, hashes = Lazy.force tables in
       let vt = Dfg.value_trace cand trace in
       let pairs = ref [] and n = ref 0 in
       List.iter
@@ -125,13 +114,13 @@ let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
   let candidates = ref 0 in
   let proofs = ref 0 in
   let undecided = ref 0 in
-  let verify parent cand =
+  let verify parent tables cand =
     if not (Transform.equivalent ~samples dfg cand ~rng) then
       `Refuted `Random_exec
     else begin
-      (* SAT-sweep the candidate against its frontier parent — itself
-         proven equivalent to the original, so transitivity makes every
-         proof a proof against the original while each obligation stays
+      (* SAT-sweep the candidate against its parent — itself proven
+         equivalent to the original, so transitivity makes every proof a
+         proof against the original while each obligation stays
          one-rewrite local no matter how deep the search is.  Every
          obligation network structurally extends the original base
          elaboration, so the one shared session discharges them all.
@@ -145,7 +134,7 @@ let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
         in
         match
           Elaborate.sweep ~base:base_net ~ref_dfg:parent cand
-            ~pairs:(cut_pairs parent cand) ~prove:sat_prove
+            ~pairs:(cut_pairs tables cand) ~prove:sat_prove
         with
         | Elaborate.Equivalent -> Cec.Equivalent
         | Elaborate.Counterexample vec -> Cec.Counterexample vec
@@ -168,81 +157,63 @@ let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
   let initial = { g = dfg; c = cost dfg; trail = [] } in
   let visited = Hashtbl.create 64 in
   Hashtbl.replace visited (Dfg.structural_hash dfg) ();
-  let best = ref initial in
-  let frontier = ref [ initial ] in
-  let stale = ref 0 in
-  (try
-     for _step = 1 to max_steps do
-       let cands =
-         List.concat_map
-           (fun st ->
-             List.concat_map
-               (fun r ->
-                 List.filter_map
-                   (fun site ->
-                     match r.Rules.apply_at st.g site with
-                     | None -> None
-                     | Some g' ->
-                       incr candidates;
-                       let h = Dfg.structural_hash g' in
-                       if Hashtbl.mem visited h then None
-                       else begin
-                         Hashtbl.replace visited h ();
-                         Some (st, r.Rules.name, site, g', cost g')
-                       end)
-                   (r.Rules.sites st.g))
-               rules)
-           !frontier
-       in
-       let ranked =
-         List.stable_sort
-           (fun (_, _, _, _, c1) (_, _, _, _, c2) -> compare c1 c2)
-           cands
-       in
-       let next = ref [] in
-       let admitted = ref 0 in
-       List.iter
-         (fun (st, rname, site, g', c') ->
-           if !admitted < beam then
-             match verify st.g g' with
-             | `Proved ->
-               incr admitted;
-               next :=
-                 {
-                   g = g';
-                   c = c';
-                   trail =
-                     { rule = rname; site; cost_before = st.c;
-                       cost_after = c' }
-                     :: st.trail;
-                 }
-                 :: !next
-             | `Refuted stage ->
-               refuted := { rule = rname; site; stage } :: !refuted
-             | `Undecided -> ())
-         ranked;
-       let next = List.rev !next in
-       if next = [] then raise Exit;
-       frontier := next;
-       let improved = List.exists (fun st -> st.c < !best.c) next in
-       List.iter (fun st -> if st.c < !best.c then best := st) next;
-       if improved then stale := 0
-       else begin
-         incr stale;
-         if !stale >= patience then raise Exit
-       end
-     done
-   with Exit -> ());
+  (* The rewrites of [cur] not seen before, cheapest first. *)
+  let ranked cur =
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun site ->
+            match r.Rules.apply_at cur.g site with
+            | None -> None
+            | Some g' ->
+              incr candidates;
+              let h = Dfg.structural_hash g' in
+              if Hashtbl.mem visited h then None
+              else begin
+                Hashtbl.replace visited h ();
+                Some (r.Rules.name, site, g', cost g')
+              end)
+          (r.Rules.sites cur.g))
+      rules
+    |> List.stable_sort (fun (_, _, _, c1) (_, _, _, c2) -> compare c1 c2)
+  in
+  (* [cur] is the graph the last step moved to and [best] the cheapest
+     seen; a step moves to the cheapest proved rewrite even when it costs
+     more than [best], and [stale] counts such steps in a row. *)
+  let rec search cur best stale steps_left =
+    if steps_left <= 0 then best
+    else
+      let tables = lazy (sig_tables cur.g) in
+      let next =
+        List.find_map
+          (fun (rule, site, g', c') ->
+            match verify cur.g tables g' with
+            | `Proved ->
+              let step = { rule; site; cost_before = cur.c; cost_after = c' } in
+              Some { g = g'; c = c'; trail = step :: cur.trail }
+            | `Refuted stage ->
+              refuted := { rule; site; stage } :: !refuted;
+              None
+            | `Undecided -> None)
+          (ranked cur)
+      in
+      match next with
+      | None -> best
+      | Some next when next.c < best.c -> search next next 0 (steps_left - 1)
+      | Some next ->
+        if stale + 1 >= patience then best
+        else search next best (stale + 1) (steps_left - 1)
+  in
+  let best = search initial initial 0 max_steps in
   {
-    final = !best.g;
+    final = best.g;
     initial_cost = initial.c;
-    final_cost = !best.c;
-    steps = List.rev !best.trail;
+    final_cost = best.c;
+    steps = List.rev best.trail;
     refuted = List.rev !refuted;
     candidates = !candidates;
     proofs = !proofs;
     undecided = !undecided;
     sat = Cec.session_stats sess;
     model;
-    beam;
   }

@@ -241,7 +241,7 @@ let test_search_reduces_fir () =
   let trace = trace_for r dfg ~n:48 in
   let memo = Memo.create () in
   let res =
-    Search.run ~beam:2 ~max_steps:8 ~samples:32 ~memo ~model:Cost.Toggles
+    Search.run ~max_steps:8 ~samples:32 ~memo ~model:Cost.Toggles
       ~rng:(rng ()) dfg ~trace
   in
   Alcotest.(check bool) "cost reduced" true
@@ -265,7 +265,7 @@ let test_search_deterministic () =
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in
   let trace = trace_for (rng ()) dfg ~n:32 in
   let go () =
-    Search.run ~beam:2 ~max_steps:6 ~samples:24 ~model:Cost.Toggles
+    Search.run ~max_steps:6 ~samples:24 ~model:Cost.Toggles
       ~rng:(rng ()) dfg ~trace
   in
   let a = go () and b = go () in
@@ -299,8 +299,8 @@ let test_search_refutes_broken_rule () =
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in
   let trace = trace_for r dfg ~n:32 in
   let res =
-    Search.run ~rules:[ broken_rule ] ~beam:2 ~max_steps:4 ~samples:32
-      ~model:Cost.Area ~rng:(rng ()) dfg ~trace
+    Search.run ~rules:[ broken_rule ] ~max_steps:4 ~samples:32 ~model:Cost.Area
+      ~rng:(rng ()) dfg ~trace
   in
   Alcotest.(check bool) "nothing accepted" true (res.Search.steps = []);
   Alcotest.(check bool) "final is the original" true
@@ -319,8 +319,8 @@ let test_search_sat_gate () =
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in
   let trace = trace_for r dfg ~n:32 in
   let res =
-    Search.run ~rules:[ broken_rule ] ~beam:1 ~max_steps:2 ~samples:0
-      ~model:Cost.Area ~rng:(rng ()) dfg ~trace
+    Search.run ~rules:[ broken_rule ] ~max_steps:2 ~samples:0 ~model:Cost.Area
+      ~rng:(rng ()) dfg ~trace
   in
   Alcotest.(check bool) "nothing accepted" true (res.Search.steps = []);
   (match res.Search.refuted with
@@ -329,6 +329,36 @@ let test_search_sat_gate () =
     Alcotest.(check bool) "refuted by SAT" true (rf.Search.stage = `Sat));
   Alcotest.(check bool) "final is the original" true
     (Dfg.equal dfg res.Search.final)
+
+(* An unsound rewrite that ranks ahead of sound ones must not stall the
+   search: a step reports it refuted and moves to the first candidate
+   that is proved. *)
+let test_search_refutes_then_admits () =
+  let r = rng () in
+  let dfg = Gen_dfg.fir ~taps:4 ~width:6 () in
+  let trace = trace_for r dfg ~n:48 in
+  let res =
+    Search.run ~rules:(broken_rule :: Rules.all) ~max_steps:8 ~samples:32
+      ~model:Cost.Toggles ~rng:(rng ()) dfg ~trace
+  in
+  Alcotest.(check bool) "took steps" true (res.Search.steps <> []);
+  Alcotest.(check bool) "drop-input refuted" true
+    (List.exists
+       (fun (rf : Search.refutation) -> rf.Search.rule = "drop-input")
+       res.Search.refuted);
+  List.iter
+    (fun (s : Search.step) ->
+      Alcotest.(check bool) "no drop-input step" true
+        (s.Search.rule <> "drop-input"))
+    res.Search.steps;
+  let inputs = List.map fst (Dfg.inputs dfg) in
+  match
+    Cec.check
+      (Elaborate.to_network ~inputs dfg)
+      (Elaborate.to_network ~inputs res.Search.final)
+  with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ -> Alcotest.fail "final not equivalent under CEC"
 
 (* The conflict-budgeted session probe behind [Search]'s [sat_budget]:
    proves an easy obligation outright, replays a genuine witness on a
@@ -394,9 +424,6 @@ let test_budgeted_session () =
   | `Witness _ -> Alcotest.fail "sound rewrite refuted on retry"
   | `Undecided -> Alcotest.fail "generous retry budget exhausted"
 
-let test_default_beam () =
-  Alcotest.(check bool) "beam at least 1" true (Search.default_beam () >= 1)
-
 (* The search behaves under the fallback cost model too (what the
    LOWPOWER_BITSIM=off CI pass exercises end to end). *)
 let test_search_independence_model () =
@@ -404,7 +431,7 @@ let test_search_independence_model () =
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in
   let trace = trace_for r dfg ~n:32 in
   let res =
-    Search.run ~beam:1 ~max_steps:6 ~samples:24 ~model:Cost.Independence
+    Search.run ~max_steps:6 ~samples:24 ~model:Cost.Independence
       ~rng:(rng ()) dfg ~trace
   in
   Alcotest.(check bool) "cost not increased" true
@@ -429,8 +456,9 @@ let suite =
     quick "search: refutes broken rule" test_search_refutes_broken_rule;
     quick "search: SAT gate alone catches unsound rewrite"
       test_search_sat_gate;
+    quick "search: refuted rewrite does not stall a step"
+      test_search_refutes_then_admits;
     quick "cec: conflict-budgeted session probe" test_budgeted_session;
-    quick "search: default beam" test_default_beam;
     quick "search: independence fallback model"
       test_search_independence_model;
   ]
