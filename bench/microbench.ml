@@ -338,36 +338,6 @@ let cec_adder_vs_factored_incremental =
     (Staged.stage (fun () ->
          assert (Cec.session_check sess factored = Cec.Equivalent)))
 
-(* Domain portfolio on a harder UNSAT instance: PHP(9,8) raced by two
-   diversified lanes, first verdict wins. *)
-let sat_portfolio_pigeon_9 =
-  Test.make ~name:"sat_portfolio_pigeon_9"
-    (Staged.stage (fun () ->
-         let build k =
-           let s =
-             Solver.create ~seed:k
-               ~phase:(if k = 0 then `False else `Random)
-               ()
-           in
-           let p =
-             Array.init 9 (fun _ ->
-                 Array.init 8 (fun _ -> Solver.pos (Solver.new_var s)))
-           in
-           for i = 0 to 8 do
-             Solver.add_clause s (Array.to_list p.(i))
-           done;
-           for h = 0 to 7 do
-             for i = 0 to 8 do
-               for j = i + 1 to 8 do
-                 Solver.add_clause s
-                   [ Solver.negate p.(i).(h); Solver.negate p.(j).(h) ]
-               done
-             done
-           done;
-           s
-         in
-         assert (fst (Solver.solve_portfolio 2 build) = Solver.Unsat)))
-
 let tests =
   [ bdd_build; cover_minimize; cover_complement; fsm_synth; event_sim;
     event_sim_reference; required_times_1k; sta_full_1k; sta_incremental_1k;
@@ -375,8 +345,7 @@ let tests =
     dualvth_opt_mult4; list_scheduling; iss_run;
     encoding_search; odc_guard; seq_chain; streaming_kernel;
     prob_sim_scalar; prob_sim_bitsim; seq_sim_scalar; seq_sim_bitsim;
-    sat_pigeon; cec_adder_vs_factored; cec_adder_vs_factored_incremental;
-    sat_portfolio_pigeon_9 ]
+    sat_pigeon; cec_adder_vs_factored; cec_adder_vs_factored_incremental ]
 
 (* The batch service is measured one-shot (wall clock over the whole
    1000-job mixed workload) instead of through Bechamel: a single run

@@ -15,6 +15,20 @@ open Cmdliner
    [List.assoc name table] cannot fail on a parsed name. *)
 let one_of table = Arg.enum (List.map (fun (name, _) -> (name, name)) table)
 
+(* Build a command's input from its arguments, then run the command [f]
+   on it.  A library constructor rejects an out-of-range value (a zero
+   width, a multiplier wider than 15 bits) with [Invalid_argument]; that
+   is a usage error, which [input_cmd] turns into exit 124 with the
+   library's message.  An exception raised inside [f] is a bug and still
+   exits 125. *)
+let with_input build f =
+  match build () with
+  | input -> Ok (f input)
+  | exception Invalid_argument msg -> Error msg
+
+(* A subcommand whose term runs through [with_input]. *)
+let input_cmd info term = Cmd.v info (Term.term_result' ~usage:true term)
+
 let circuits =
   [ ("adder", fun width _ -> (Circuits.ripple_adder width).Circuits.net);
     ("csel", fun width _ -> (Circuits.carry_select_adder width).Circuits.net);
@@ -42,7 +56,7 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.")
 (* --- analyze --- *)
 
 let analyze circuit width seed =
-  let net = build_circuit circuit width seed in
+  with_input (fun () -> build_circuit circuit width seed) @@ fun net ->
   let input_probs = Probability.uniform_inputs net in
   let act = Activity.zero_delay net ~input_probs in
   Printf.printf "circuit: %s (width %d)\n" circuit width;
@@ -69,7 +83,8 @@ let analyze circuit width seed =
     (Activity.network_power Lowpower.Power_model.default_params net act)
 
 let analyze_cmd =
-  Cmd.v (Cmd.info "analyze" ~doc:"Activity, glitch and Eqn.-1 power analysis")
+  input_cmd
+    (Cmd.info "analyze" ~doc:"Activity, glitch and Eqn.-1 power analysis")
     Term.(const analyze $ circuit_arg $ width_arg 6 $ seed_arg)
 
 (* --- map --- *)
@@ -82,7 +97,7 @@ let objectives =
        Mapper.Power (Activity.zero_delay subj ~input_probs)) ]
 
 let map_run circuit width seed objective =
-  let net = build_circuit circuit width seed in
+  with_input (fun () -> build_circuit circuit width seed) @@ fun net ->
   let subj = Subject.decompose net in
   let input_probs = Probability.uniform_inputs subj in
   let m = Mapper.map subj (List.assoc objective objectives subj input_probs) in
@@ -97,16 +112,16 @@ let map_cmd =
     Arg.(value & opt (one_of objectives) "power"
          & info [ "objective" ] ~doc:"area, delay or power.")
   in
-  Cmd.v (Cmd.info "map" ~doc:"Technology mapping (DAGON tree covering)")
+  input_cmd (Cmd.info "map" ~doc:"Technology mapping (DAGON tree covering)")
     Term.(const map_run $ circuit_arg $ width_arg 4 $ seed_arg $ objective)
 
 (* --- encode --- *)
 
 let encode_run states seed =
-  let stg =
-    Gen_fsm.random (Lowpower.Rng.create seed) ~num_states:states ~num_inputs:2
-      ~num_outputs:2 ()
-  in
+  with_input (fun () ->
+      Gen_fsm.random (Lowpower.Rng.create seed) ~num_states:states
+        ~num_inputs:2 ~num_outputs:2 ())
+  @@ fun stg ->
   let q = Markov.uniform_inputs stg in
   Printf.printf "random %d-state FSM (seed %d); self-loop fraction %.1f%%\n"
     states seed
@@ -125,13 +140,13 @@ let encode_cmd =
   let states =
     Arg.(value & opt int 12 & info [ "states" ] ~doc:"Number of FSM states.")
   in
-  Cmd.v (Cmd.info "encode" ~doc:"State-encoding comparison for low power")
+  input_cmd (Cmd.info "encode" ~doc:"State-encoding comparison for low power")
     Term.(const encode_run $ states $ seed_arg)
 
 (* --- precompute --- *)
 
 let precompute_run width seed =
-  let dp = Circuits.comparator width in
+  with_input (fun () -> Circuits.comparator width) @@ fun dp ->
   let keep =
     [ List.nth dp.Circuits.a_bits (width - 1);
       List.nth dp.Circuits.b_bits (width - 1) ]
@@ -153,32 +168,32 @@ let precompute_run width seed =
     *. (1.0 -. Seq_circuit.total_energy pre /. Seq_circuit.total_energy plain))
 
 let precompute_cmd =
-  Cmd.v (Cmd.info "precompute" ~doc:"Fig.-1 precomputed comparator")
+  input_cmd (Cmd.info "precompute" ~doc:"Fig.-1 precomputed comparator")
     Term.(const precompute_run $ width_arg 12 $ seed_arg)
 
 (* --- businvert --- *)
 
 let businvert_run width words seed =
   let r = Lowpower.Rng.create seed in
-  List.iter
-    (fun (name, trace) ->
-      Printf.printf "  %-12s saving %.1f%%\n" name
-        (100.0 *. Bus_invert.saving ~width trace))
-    [ ("white noise", Traces.random_words r ~width ~n:words);
-      ("random walk", Traces.random_walk r ~width ~n:words ~step:8);
-      ("sequential", Traces.sequential ~width ~n:words) ]
+  with_input (fun () ->
+      [ ("white noise", Traces.random_words r ~width ~n:words);
+        ("random walk", Traces.random_walk r ~width ~n:words ~step:8);
+        ("sequential", Traces.sequential ~width ~n:words) ])
+  @@ List.iter (fun (name, trace) ->
+         Printf.printf "  %-12s saving %.1f%%\n" name
+           (100.0 *. Bus_invert.saving ~width trace))
 
 let businvert_cmd =
   let words =
     Arg.(value & opt int 4000 & info [ "words" ] ~doc:"Trace length.")
   in
-  Cmd.v (Cmd.info "businvert" ~doc:"Bus-invert coding savings")
+  input_cmd (Cmd.info "businvert" ~doc:"Bus-invert coding savings")
     Term.(const businvert_run $ width_arg 16 $ words $ seed_arg)
 
 (* --- compile --- *)
 
 let compile_run taps =
-  let dfg = Gen_dfg.fir ~taps () in
+  with_input (fun () -> Gen_dfg.fir ~taps ()) @@ fun dfg ->
   List.iter
     (fun (name, opts, profile) ->
       let comp = Compile.compile opts dfg in
@@ -199,13 +214,14 @@ let compile_cmd =
   let taps =
     Arg.(value & opt int 8 & info [ "taps" ] ~doc:"FIR tap count.")
   in
-  Cmd.v (Cmd.info "compile" ~doc:"Compile an FIR kernel under power models")
+  input_cmd
+    (Cmd.info "compile" ~doc:"Compile an FIR kernel under power models")
     Term.(const compile_run $ taps)
 
 (* --- guard --- *)
 
 let guard_run width duty seed =
-  let net, _sel = Circuits.mux_compare width in
+  with_input (fun () -> fst (Circuits.mux_compare width)) @@ fun net ->
   let z = List.assoc "z" (Network.outputs net) in
   let eq_root =
     match Network.fanins net z with
@@ -238,7 +254,8 @@ let guard_cmd =
     Arg.(value & opt float 0.7
          & info [ "duty" ] ~doc:"Probability the guarded block is ignored.")
   in
-  Cmd.v (Cmd.info "guard" ~doc:"Guarded evaluation on a mux-selected block")
+  input_cmd
+    (Cmd.info "guard" ~doc:"Guarded evaluation on a mux-selected block")
     Term.(const guard_run $ width_arg 6 $ duty $ seed_arg)
 
 (* --- check --- *)
@@ -258,30 +275,31 @@ let print_solver_stats (st : Solver.stats) =
     st.Solver.eliminated_vars st.Solver.subsumed_clauses
     st.Solver.strengthened_clauses st.Solver.minimized_literals
 
-let check_run circuit_a circuit_b width seed mutate portfolio =
-  let a = build_circuit circuit_a width seed in
-  let b = build_circuit circuit_b width seed in
-  let b =
-    match mutate with
-    | None -> b
-    | Some k ->
-      let logic =
-        List.filter (fun i -> not (Network.is_input b i)) (Network.topo_order b)
-      in
-      (match List.nth_opt logic k with
-      | None -> failwith (Printf.sprintf "--mutate %d: only %d logic nodes" k
-                            (List.length logic))
-      | Some n ->
-        Network.replace_func b n
-          (Expr.not_ (Network.func b n))
-          (Network.fanins b n);
-        Printf.printf "mutated node %d of %s (function inverted)\n" k circuit_b;
-        b)
+(* Invert the [k]-th logic node of [net] in topological order. *)
+let invert_node net k =
+  let logic =
+    List.filter (fun i -> not (Network.is_input net i)) (Network.topo_order net)
   in
+  if k < 0 || k >= List.length logic then
+    invalid_arg
+      (Printf.sprintf "--mutate %d: only %d logic nodes" k (List.length logic));
+  let n = List.nth logic k in
+  Network.replace_func net n (Expr.not_ (Network.func net n))
+    (Network.fanins net n)
+
+let check_run circuit_a circuit_b width seed mutate =
+  with_input (fun () ->
+      let a = build_circuit circuit_a width seed in
+      let b = build_circuit circuit_b width seed in
+      Option.iter (invert_node b) mutate;
+      (a, b))
+  @@ fun (a, b) ->
+  Option.iter
+    (fun k ->
+      Printf.printf "mutated node %d of %s (function inverted)\n" k circuit_b)
+    mutate;
   let stats = ref None in
-  let verdict =
-    Cec.check ?portfolio ~on_stats:(fun st -> stats := Some st) a b
-  in
+  let verdict = Cec.check ~on_stats:(fun st -> stats := Some st) a b in
   match verdict with
   | Cec.Equivalent ->
     Printf.printf "EQUIVALENT: %s and %s agree on all %d outputs\n" circuit_a
@@ -311,22 +329,16 @@ let check_cmd =
              ~doc:"Invert the $(docv)-th logic node of the second circuit \
                    before checking (demonstrates a counterexample).")
   in
-  let portfolio =
-    Arg.(value & opt (some int) None
-         & info [ "portfolio" ] ~docv:"N"
-             ~doc:"Race $(docv) diversified solvers on the SAT phase \
-                   (default: LOWPOWER_SAT_PORTFOLIO, else sequential).")
-  in
-  Cmd.v
+  input_cmd
     (Cmd.info "check"
        ~doc:"Combinational equivalence check (random simulation + SAT miter)")
     Term.(const check_run $ pos_circuit 0 "A" $ pos_circuit 1 "B" $ width_arg 6
-          $ seed_arg $ mutate $ portfolio)
+          $ seed_arg $ mutate)
 
 (* --- seqestimate --- *)
 
 let seqestimate_run bits duty =
-  let stg = Gen_fsm.counter ~bits in
+  with_input (fun () -> Gen_fsm.counter ~bits) @@ fun stg ->
   let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:(1 lsl bits)) in
   let est =
     Seq_estimate.steady_state synth.Fsm_synth.circuit
@@ -350,7 +362,7 @@ let seqestimate_cmd =
   let duty =
     Arg.(value & opt float 0.3 & info [ "duty" ] ~doc:"Enable probability.")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "seqestimate"
        ~doc:"Exact sequential power estimation vs the white-noise assumption")
     Term.(const seqestimate_run $ bits $ duty)
@@ -358,16 +370,18 @@ let seqestimate_cmd =
 (* --- annotate --- *)
 
 let annotate_run circuit width seed trace_length white_noise top =
-  let net = build_circuit circuit width seed in
+  with_input (fun () ->
+      let net = build_circuit circuit width seed in
+      let nins = List.length (Network.inputs net) in
+      ( net,
+        if white_noise then
+          Stimulus.random (Lowpower.Rng.create seed) ~width:nins
+            ~length:trace_length ()
+        else
+          Traces.correlated_walk (Lowpower.Rng.create seed) ~bits:nins
+            ~n:trace_length () ))
+  @@ fun (net, trace) ->
   let nins = List.length (Network.inputs net) in
-  let trace =
-    if white_noise then
-      Stimulus.random (Lowpower.Rng.create seed) ~width:nins
-        ~length:trace_length ()
-    else
-      Traces.correlated_walk (Lowpower.Rng.create seed) ~bits:nins
-        ~n:trace_length ()
-  in
   let sim = Actsim.create net ~trace in
   let a = Annotation.of_actsim sim in
   Printf.printf "annotate %s (width %d): %d nodes, %d-cycle %s trace\n" circuit
@@ -427,7 +441,7 @@ let annotate_cmd =
     Arg.(value & opt int 10
          & info [ "top" ] ~docv:"K" ~doc:"Hottest nodes to list.")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "annotate"
        ~doc:"Measured-activity annotation: per-node toggle report over a \
              trace")
@@ -437,22 +451,23 @@ let annotate_cmd =
 (* --- tournament --- *)
 
 let tournament_run circuit width seed trace_length measured =
-  let net = build_circuit circuit width seed in
-  let nins = List.length (Network.inputs net) in
-  let trace =
-    if measured then
-      (* Correlated workload: the regime where the measured strategy has
-         information the probability models lack. *)
-      Some
-        (Traces.correlated_walk (Lowpower.Rng.create seed) ~bits:nins
-           ~n:(if trace_length > 0 then trace_length else 256)
-           ())
-    else if trace_length > 0 then
-      Some
-        (Stimulus.random (Lowpower.Rng.create seed) ~width:nins
-           ~length:trace_length ())
-    else None
-  in
+  with_input (fun () ->
+      let net = build_circuit circuit width seed in
+      let nins = List.length (Network.inputs net) in
+      ( net,
+        if measured then
+          (* Correlated workload: the regime where the measured strategy
+             has information the probability models lack. *)
+          Some
+            (Traces.correlated_walk (Lowpower.Rng.create seed) ~bits:nins
+               ~n:(if trace_length > 0 then trace_length else 256)
+               ())
+        else if trace_length > 0 then
+          Some
+            (Stimulus.random (Lowpower.Rng.create seed) ~width:nins
+               ~length:trace_length ())
+        else None ))
+  @@ fun (net, trace) ->
   let p = Tournament.run ~name:circuit ?trace net in
   Printf.printf "tournament on %s (width %d, %s scoring)\n" circuit width
     (if trace = None then "estimated" else "measured");
@@ -486,7 +501,7 @@ let tournament_cmd =
                    cycles, or --trace-length) and add the measured \
                    resynthesis strategy to the roster.")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "tournament"
        ~doc:"Race synthesis strategies; promote a SAT-verified champion")
     Term.(const tournament_run $ circuit_arg $ width_arg 5 $ seed_arg
@@ -495,7 +510,7 @@ let tournament_cmd =
 (* --- size --- *)
 
 let size_run circuit width seed slack_factor leak_budget =
-  let net = build_circuit circuit width seed in
+  with_input (fun () -> build_circuit circuit width seed) @@ fun net ->
   let subj = Subject.decompose net in
   let input_probs = Probability.uniform_inputs subj in
   let act = Activity.zero_delay subj ~input_probs in
@@ -560,7 +575,7 @@ let size_cmd =
                    starting leakage; high-Vth swaps stop once met (default: \
                    swap every gate the slack allows).")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "size"
        ~doc:"Slack-driven gate sizing + dual-Vth assignment on a mapped \
              netlist")
@@ -576,8 +591,10 @@ let workloads =
 
 let rewrite_run workload taps width samples trace_len seed model coeffs =
   let r = Lowpower.Rng.create seed in
-  let dfg = List.assoc workload workloads taps coeffs width in
-  let trace = Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true () in
+  with_input (fun () ->
+      let dfg = List.assoc workload workloads taps coeffs width in
+      (dfg, Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true ()))
+  @@ fun (dfg, trace) ->
   let memo = Memo.create () in
   let res = Search.run ~samples ~memo ?model ~rng:r dfg ~trace in
   let model_name =
@@ -655,7 +672,7 @@ let rewrite_cmd =
              ~doc:"Comma-separated filter coefficients (default: small odd \
                    constants).")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "rewrite"
        ~doc:"Activity-costed datapath rewriting with SAT-verified search")
     Term.(const rewrite_run $ workload $ taps $ width_arg 8 $ samples

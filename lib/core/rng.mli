@@ -22,10 +22,10 @@ val stream : t -> int -> t
 (** [stream t k] derives the [k]-th of a family of independent generators
     {e without} advancing [t]: equal [(t, k)] always give the same stream,
     and distinct [k] give independent streams.  This is the sharding
-    primitive for block-parallel simulation — each word block draws from
-    its own stream, so results are identical whether blocks are processed
-    sequentially or across domains.  Raises [Invalid_argument] if
-    [k < 0]. *)
+    primitive for block-wise work — each simulation word block or batch
+    job draws from its own stream, so results do not depend on the order
+    the blocks run in or on the domain that runs them.  Raises
+    [Invalid_argument] if [k < 0]. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state; both copies then produce the same

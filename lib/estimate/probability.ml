@@ -74,60 +74,27 @@ let simulated_scalar c ~rng ~input_probs ~vectors =
   done;
   counts
 
-(* Word blocks are drawn from per-block [Rng.stream]s and merged with
-   integer addition, so the result is identical whether the blocks run
-   sequentially or sharded across domains. *)
+(* Each 63-vector word block draws its input planes from its own
+   [Rng.stream] off [base]. *)
 let packed_counts b ~base ~input_probs ~vectors =
   let n = Bitsim.size b in
   let arity = Array.length input_probs in
   let w = Bitsim.vectors_per_word in
-  let blocks = (vectors + w - 1) / w in
-  let count_range counts lo hi =
-    let words = Array.make arity 0 in
-    let plane = Array.make n 0 in
-    for blk = lo to hi - 1 do
-      let rng = Lowpower.Rng.stream base blk in
-      for k = 0 to arity - 1 do
-        words.(k) <- Lowpower.Rng.bernoulli_word rng input_probs.(k)
-      done;
-      Bitsim.eval_into b words plane;
-      let mask = Bitsim.lane_mask (min w (vectors - (blk * w))) in
-      for x = 0 to n - 1 do
-        counts.(x) <- counts.(x) + Bitsim.popcount (plane.(x) land mask)
-      done
+  let counts = Array.make n 0 in
+  let words = Array.make arity 0 in
+  let plane = Array.make n 0 in
+  for blk = 0 to ((vectors + w - 1) / w) - 1 do
+    let rng = Lowpower.Rng.stream base blk in
+    for k = 0 to arity - 1 do
+      words.(k) <- Lowpower.Rng.bernoulli_word rng input_probs.(k)
+    done;
+    Bitsim.eval_into b words plane;
+    let mask = Bitsim.lane_mask (min w (vectors - (blk * w))) in
+    for x = 0 to n - 1 do
+      counts.(x) <- counts.(x) + Bitsim.popcount (plane.(x) land mask)
     done
-  in
-  let ndom =
-    (* Domain spawns cost ~10s of microseconds each: only worth it for
-       block counts where each domain gets substantial work. *)
-    if blocks < 256 then 1
-    else min (min (Domain.recommended_domain_count ()) 8) (blocks / 64)
-  in
-  if ndom <= 1 then begin
-    let counts = Array.make n 0 in
-    count_range counts 0 blocks;
-    counts
-  end
-  else begin
-    let bound i = i * blocks / ndom in
-    let workers =
-      List.init (ndom - 1) (fun i ->
-          Domain.spawn (fun () ->
-              let counts = Array.make n 0 in
-              count_range counts (bound (i + 1)) (bound (i + 2));
-              counts))
-    in
-    let counts = Array.make n 0 in
-    count_range counts 0 (bound 1);
-    List.iter
-      (fun d ->
-        let part = Domain.join d in
-        for x = 0 to n - 1 do
-          counts.(x) <- counts.(x) + part.(x)
-        done)
-      workers;
-    counts
-  end
+  done;
+  counts
 
 let simulated ?packed net ~rng ~input_probs ~vectors =
   check_probs net input_probs;

@@ -32,8 +32,7 @@ val simulated :
     network is compiled to the word-parallel engine ([Bitsim]): input
     planes are drawn 63 vectors at a time ([Rng.bernoulli_word], one
     independent [Rng.stream] per word block) and one-counts come from SWAR
-    popcounts.  Large runs shard word blocks across OCaml domains; the
-    per-block streams make the estimate independent of the sharding.
+    popcounts, one block after another on the calling domain.
     [~packed:false] forces the scalar path: one [Compiled.eval_into] per
     vector.  The two paths draw different (equally valid) random planes,
     so their estimates agree statistically, not bit-for-bit; on a {e fixed}

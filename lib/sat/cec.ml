@@ -11,22 +11,6 @@ let validate a b =
   if output_names a <> output_names b then
     invalid_arg "Cec: output name sets differ"
 
-let portfolio_default () =
-  match Sys.getenv_opt "LOWPOWER_SAT_PORTFOLIO" with
-  | Some v -> ( match int_of_string_opt v with Some n when n > 1 -> n | _ -> 1)
-  | None -> 1
-
-(* Lane diversification for {!Solver.solve_portfolio}: lane 0 is the
-   stock configuration (so a 1-lane portfolio is the sequential solver),
-   later lanes vary seed, phase polarity and random branching. *)
-let lane_solver k =
-  if k = 0 then Solver.create ()
-  else
-    Solver.create ~seed:k
-      ~phase:(match k mod 3 with 1 -> `True | 2 -> `Random | _ -> `False)
-      ~random_branch:(if k >= 3 then 0.02 else 0.0)
-      ()
-
 (* ------------------------------------------------------------------ *)
 (* Miter construction                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -111,9 +95,7 @@ let output_index bs nm =
   !idx
 
 (* Encode both operands over shared inputs plus one XOR miter literal per
-   matched output pair.  The allocation order is deterministic, so every
-   portfolio lane running this produces identical literal numbering — the
-   property that lets one assumption list address all lanes. *)
+   matched output pair. *)
 let encode_miters s a b =
   let env_a = Cnf.add_network s a in
   let env_b = Cnf.add_network ~inputs:env_a.Cnf.inputs s b in
@@ -130,11 +112,8 @@ let encode_miters s a b =
   in
   (env_a, miters)
 
-let check ?(rounds = 4) ?(seed = 1) ?portfolio ?on_stats a b =
+let check ?(rounds = 4) ?(seed = 1) ?on_stats a b =
   validate a b;
-  let lanes =
-    match portfolio with Some n -> max 1 n | None -> portfolio_default ()
-  in
   let n = List.length (Network.inputs a) in
   let names = output_names a in
   let rng = Lowpower.Rng.create seed in
@@ -172,44 +151,6 @@ let check ?(rounds = 4) ?(seed = 1) ?portfolio ?on_stats a b =
   done;
   match !sim_cex with
   | Some vec -> confirmed a b vec
-  | None when lanes > 1 ->
-    (* Portfolio: one race deciding the disjunction of all output miters.
-       Lane 0 reuses the probe encoding below; identical (deterministic)
-       literal numbering across lanes makes the shared assumption valid
-       everywhere. *)
-    let encode_full s =
-      let env_a, miters = encode_miters s a b in
-      let ms = Array.of_list (List.map snd miters) in
-      let any =
-        Cnf.lit_of_expr s
-          ~leaf:(fun v -> ms.(v))
-          (Expr.or_list (Array.to_list (Array.mapi (fun i _ -> Expr.var i) ms)))
-      in
-      (env_a, any)
-    in
-    let probe = Solver.create () in
-    let env_a, any = encode_full probe in
-    let build k =
-      if k = 0 then probe
-      else begin
-        let s = lane_solver k in
-        ignore (encode_full s : Cnf.env * Solver.lit);
-        s
-      end
-    in
-    (* [on_stats] reports the lane aggregate — total race effort, not
-       just the winner's counters. *)
-    let verdict, winner =
-      Solver.solve_portfolio ~assumptions:[ any ] ?on_all_stats:on_stats
-        lanes build
-    in
-    (match verdict with
-    | Solver.Unsat -> Equivalent
-    | Solver.Sat ->
-      let vec =
-        Array.map (fun l -> Solver.lit_true winner l) env_a.Cnf.inputs
-      in
-      confirmed a b vec)
   | None ->
     (* Candidate-equivalent outputs: discharge each with one incremental
        SAT call over a shared encoding. *)
@@ -232,31 +173,15 @@ let check ?(rounds = 4) ?(seed = 1) ?portfolio ?on_stats a b =
     in
     go miters
 
-let satisfiable ?portfolio ?on_stats net name =
+let satisfiable net name =
   (match List.assoc_opt name (Network.outputs net) with
   | Some _ -> ()
   | None -> invalid_arg "Cec.satisfiable: unknown output");
-  let lanes =
-    match portfolio with Some n -> max 1 n | None -> portfolio_default ()
-  in
-  let probe = Solver.create () in
-  let env = Cnf.add_network probe net in
-  let l = Cnf.lit_of_output env name in
-  let build k =
-    if k = 0 then probe
-    else begin
-      let s = lane_solver k in
-      ignore (Cnf.add_network s net : Cnf.env);
-      s
-    end
-  in
-  let verdict, winner =
-    Solver.solve_portfolio ~assumptions:[ l ] ?on_all_stats:on_stats lanes build
-  in
-  match verdict with
+  let s = Solver.create () in
+  let env = Cnf.add_network s net in
+  match Solver.solve ~assumptions:[ Cnf.lit_of_output env name ] s with
   | Solver.Unsat -> None
-  | Solver.Sat ->
-    Some (Array.map (fun l -> Solver.lit_true winner l) env.Cnf.inputs)
+  | Solver.Sat -> Some (Array.map (Solver.lit_true s) env.Cnf.inputs)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions                                               *)

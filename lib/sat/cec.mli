@@ -14,7 +14,6 @@
     (on the miter network) before being returned, so the answer is
     confirmed by an independent evaluator.
 
-    Two throughput mechanisms sit on top of the one-shot check.
     {e Sessions} ({!session}) keep one live solver holding the Tseitin
     encoding of a base network and discharge a stream of obligations
     against it — each obligation adds only clauses guarded by an
@@ -26,12 +25,9 @@
     a short local proof shows equal to a base node with the same
     simulation signature, reuses the base literal, so only outputs the
     sweep could not merge reach a full miter — an unchanged copy costs
-    no search at all.
-    {e Portfolios} race [N] diversified solvers on one hard query via
-    {!Solver.solve_portfolio}; the lane count defaults to the
-    [LOWPOWER_SAT_PORTFOLIO] environment variable (unset or [<= 1] means
-    sequential).  The one-shot path is the oracle the session path is
-    property-tested against. *)
+    no search at all.  The one-shot path is the oracle the session path
+    is property-tested against.  Every check runs one solver on the
+    calling domain. *)
 
 type outcome =
   | Equivalent
@@ -42,7 +38,6 @@ type outcome =
 val check :
   ?rounds:int ->
   ?seed:int ->
-  ?portfolio:int ->
   ?on_stats:(Solver.stats -> unit) ->
   Network.t ->
   Network.t ->
@@ -50,15 +45,11 @@ val check :
 (** [check a b] decides whether every equally-named output computes the
     same function of the primary inputs.  [rounds] (default 4) sets the
     number of 63-vector random simulation passes; [seed] their stream.
-    [portfolio] (default: [LOWPOWER_SAT_PORTFOLIO]) races that many
-    diversified solvers on the combined miter disjunction instead of
-    solving per-output incrementally.  [on_stats] receives the solver
-    counters when the SAT phase ran — the simulation filter
-    short-circuits it.  On a portfolio race the counters are the
-    {!Solver.sum_stats} aggregate over every lane (total effort, not just
-    the winner's share), so batch drivers can account SAT work faithfully.
-    Raises [Invalid_argument] if the input counts or output name sets
-    differ. *)
+    Surviving output pairs are discharged one by one, each under an
+    assumption on one incremental solver.  [on_stats] receives that
+    solver's counters when the SAT phase ran — the simulation filter
+    short-circuits it.  Raises [Invalid_argument] if the input counts or
+    output name sets differ. *)
 
 val miter : Network.t -> Network.t -> Network.t
 (** The combined network: both operands instantiated over shared fresh
@@ -74,16 +65,12 @@ val replay : Network.t -> Network.t -> bool array -> bool
     yields the miter value on [vec].  [true] means the networks really
     disagree on [vec]. *)
 
-val satisfiable :
-  ?portfolio:int ->
-  ?on_stats:(Solver.stats -> unit) ->
-  Network.t ->
-  string ->
-  bool array option
+val satisfiable : Network.t -> string -> bool array option
 (** [satisfiable net out] is an input vector driving the named output to
     1, or [None] if the output is constant false — the discharge engine
-    for the never-true proof obligations of {!Verify}.  [portfolio] and
-    [on_stats] as in {!check}. *)
+    for the never-true proof obligations of {!Verify}: one solve of a
+    fresh encoding of [net] under the output's literal.  Raises
+    [Invalid_argument] on an unknown output. *)
 
 (** {1 Incremental sessions} *)
 

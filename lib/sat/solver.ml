@@ -26,9 +26,8 @@
      with eliminated clauses stored for model extension and re-added on
      demand when an eliminated variable reappears in a new clause or
      assumption (so incremental sessions stay sound);
-   - an interrupt hook and a [Domain]-based portfolio driver
-     ([solve_portfolio]) racing differently-configured solvers on one
-     instance, first verdict wins.
+   - an interrupt hook, polled between conflicts, that cancels a solve
+     (conflict budgets).
 
    Why the solver does not reuse {!Int_heap}: branching needs an
    {e indexed} max-heap — activities are floats that change while a
@@ -62,8 +61,6 @@ module Vec = struct
 
   let clear v = v.n <- 0
 end
-
-type phase_init = [ `False | `True | `Random ]
 
 type t = {
   (* Per-variable state.  Arrays are sized to [cap] and grown by
@@ -103,12 +100,6 @@ type t = {
      eliminated, for model extension and on-demand reintroduction. *)
   elim_clauses : (int, int array list) Hashtbl.t;
   mutable elim_order : int list; (* newest elimination first *)
-  (* Configuration (portfolio diversification knobs). *)
-  rng : Lowpower.Rng.t;
-  random_branch : float; (* probability of a random decision *)
-  phase_default : phase_init;
-  chrono : int; (* partial-backtrack threshold; max_int disables *)
-  use_preprocessing : bool;
   mutable interrupt : unit -> bool;
   mutable preprocessed : bool;
   (* Clause-DB reduction schedule. *)
@@ -133,8 +124,11 @@ type t = {
   mutable n_removed_learned : int;
 }
 
-let create ?(seed = 0) ?(phase = `False) ?(random_branch = 0.0)
-    ?(chrono = 100) ?(preprocessing = true) () =
+(* A backjump longer than this many levels unwinds a single level
+   instead (chronological backtracking). *)
+let chrono = 100
+
+let create () =
   {
     nvars = 0;
     assigns = Array.make 16 (-1);
@@ -166,11 +160,6 @@ let create ?(seed = 0) ?(phase = `False) ?(random_branch = 0.0)
     model = [||];
     elim_clauses = Hashtbl.create 64;
     elim_order = [];
-    rng = Lowpower.Rng.create (seed + 0x5eed);
-    random_branch;
-    phase_default = phase;
-    chrono;
-    use_preprocessing = preprocessing;
     interrupt = (fun () -> false);
     preprocessed = false;
     max_learned = 300;
@@ -297,11 +286,6 @@ let new_var s =
   let v = s.nvars in
   grow_to s (v + 1);
   s.nvars <- v + 1;
-  s.phase.(v) <-
-    (match s.phase_default with
-    | `False -> false
-    | `True -> true
-    | `Random -> Lowpower.Rng.bool s.rng);
   heap_insert s v;
   v
 
@@ -1183,11 +1167,6 @@ type outcome = Sat | Unsat
 
 let pick_branch_var s =
   let v = ref (-1) in
-  if s.random_branch > 0.0 && s.heap_size > 0 then
-    if Lowpower.Rng.bernoulli s.rng s.random_branch then begin
-      let cand = s.heap.(Lowpower.Rng.int s.rng s.heap_size) in
-      if s.assigns.(cand) < 0 && not s.eliminated.(cand) then v := cand
-    end;
   while !v < 0 && s.heap_size > 0 do
     let cand = heap_pop s in
     if s.assigns.(cand) < 0 && not s.eliminated.(cand) then v := cand
@@ -1244,7 +1223,7 @@ let solve ?(assumptions = []) s =
     Unsat
   end
   else begin
-    if s.use_preprocessing && not s.preprocessed then begin
+    if not s.preprocessed then begin
       s.preprocessed <- true;
       List.iter (fun l -> freeze s (l lsr 1)) assumptions;
       preprocess s
@@ -1294,7 +1273,7 @@ let solve ?(assumptions = []) s =
                    let target =
                      if
                        bt < decision_level s - 1
-                       && decision_level s - bt > s.chrono
+                       && decision_level s - bt > chrono
                      then decision_level s - 1
                      else bt
                    in
@@ -1328,12 +1307,7 @@ let solve ?(assumptions = []) s =
                  else begin
                    s.n_decisions <- s.n_decisions + 1;
                    new_decision_level s;
-                   let ph =
-                     match s.phase_default with
-                     | `Random -> Lowpower.Rng.bool s.rng
-                     | _ -> s.phase.(v)
-                   in
-                   enqueue s (if ph then pos v else neg v) (-1)
+                   enqueue s (if s.phase.(v) then pos v else neg v) (-1)
                  end
                end
              end
@@ -1411,45 +1385,3 @@ let sum_stats a b =
     minimized_literals = a.minimized_literals + b.minimized_literals;
     db_reductions = a.db_reductions + b.db_reductions;
     removed_learned = a.removed_learned + b.removed_learned }
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Race [n] differently-configured solvers on one instance across
-   domains; the first verdict wins and cancels the rest through a shared
-   atomic flag.  [build k] must construct an independent solver for lane
-   [k] (lane 0 should be the default configuration).  Returns the
-   verdict plus the winning lane's solver (for models and stats). *)
-let solve_portfolio ?(assumptions = []) ?on_all_stats n build =
-  if n <= 0 then invalid_arg "Solver.solve_portfolio: n must be positive";
-  let done_flag = Atomic.make false in
-  let run k =
-    let s = build k in
-    set_interrupt s (fun () -> Atomic.get done_flag);
-    match solve ~assumptions s with
-    | r ->
-      Atomic.set done_flag true;
-      (Some (r, s), stats s)
-    | exception Interrupted -> (None, stats s)
-  in
-  let results =
-    if n = 1 then [ run 0 ]
-    else begin
-      let workers =
-        List.init (n - 1) (fun k -> Domain.spawn (fun () -> run (k + 1)))
-      in
-      let mine = run 0 in
-      mine :: List.map Domain.join workers
-    end
-  in
-  (* Cancelled lanes did real work too: the aggregate over every lane —
-     winner and losers alike — is the total search effort of the race,
-     the number a portfolio caller should account against the query. *)
-  Option.iter
-    (fun f ->
-      f (List.fold_left (fun acc (_, st) -> sum_stats acc st) empty_stats results))
-    on_all_stats;
-  match List.find_map fst results with
-  | Some r -> r
-  | None -> assert false

@@ -24,6 +24,9 @@
     {e assumptions} to query the same clause database under different
     temporary hypotheses (the miter loop solves one output pair per
     assumption without re-encoding, keeping every learned clause).
+    A solver runs on the calling domain and draws no random numbers, so
+    the same sequence of calls gives the same verdicts, models and
+    counters.
 
     Literal encoding: variable [v] as a positive literal is [2v], negated
     is [2v+1] — the same positional-cube packing used by {!Cube}. *)
@@ -35,9 +38,9 @@ type t
 type lit = int
 
 exception Interrupted
-(** Raised out of {!solve} when the {!set_interrupt} hook fires (used by
-    the {!solve_portfolio} cancellation flag).  The solver is left at
-    decision level 0 and remains usable. *)
+(** Raised out of {!solve} when the {!set_interrupt} hook fires (how
+    callers impose a conflict budget).  The solver is left at decision
+    level 0 and remains usable. *)
 
 (** {1 Literals} *)
 
@@ -54,26 +57,12 @@ val is_pos : lit -> bool
 
 (** {1 Problem construction} *)
 
-type phase_init = [ `False | `True | `Random ]
-(** Initial decision polarity: always-false (MiniSat default),
-    always-true, or per-decision random — the main portfolio
-    diversification knob besides the seed. *)
-
-val create :
-  ?seed:int ->
-  ?phase:phase_init ->
-  ?random_branch:float ->
-  ?chrono:int ->
-  ?preprocessing:bool ->
-  unit ->
-  t
-(** [seed] perturbs the RNG used by [`Random] phases and random
-    branching.  [random_branch] is the probability (default [0.0]) that
-    a decision picks a random heap variable instead of the most active
-    one.  [chrono] is the chronological-backtracking threshold (default
-    [100]): a backjump longer than this unwinds a single level instead;
-    [max_int] disables the heuristic.  [preprocessing] (default [true])
-    runs the SatELite pass once, at the first [solve]. *)
+val create : unit -> t
+(** An empty solver.  Decisions pick the most active variable with its
+    saved polarity (false before its first assignment), so a solve is
+    deterministic.  A backjump longer than 100 levels unwinds a single
+    level instead (chronological backtracking), and the SatELite pass
+    runs once, at the first [solve]. *)
 
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
@@ -168,23 +157,5 @@ val empty_stats : stats
 (** All-zero counters — the unit of {!sum_stats}. *)
 
 val sum_stats : stats -> stats -> stats
-(** Field-wise sum: aggregate counters across portfolio lanes, session
-    solvers or whole job batches into one total-SAT-effort record. *)
-
-(** {1 Portfolio} *)
-
-val solve_portfolio :
-  ?assumptions:lit list -> ?on_all_stats:(stats -> unit) -> int
-  -> (int -> t) -> outcome * t
-(** [solve_portfolio n build] races [n] solvers built by [build 0] …
-    [build n-1] (lane 0 on the calling domain, the rest on fresh
-    {!Domain}s); the first verdict wins and cancels the other lanes via
-    a shared atomic flag.  Returns the verdict and the winning lane's
-    solver, for models and {!stats}.  [on_all_stats] receives the
-    {!sum_stats} aggregate over {e every} lane — winner and cancelled
-    losers alike — i.e. the total search effort the race consumed, which
-    is what tournament promotion records account per query (the winning
-    lane's own counters remain available through the returned solver).
-    [build] should diversify lanes through {!create}'s
-    [seed]/[phase]/[random_branch] knobs and must build independent
-    solvers — lanes share nothing. *)
+(** Field-wise sum: aggregate counters across session solvers or whole
+    job batches into one total-SAT-effort record. *)

@@ -18,9 +18,8 @@
     bogus score.
 
     The promotion record carries the full field (scores, margins,
-    verdicts) plus the aggregate SAT effort of the session — with
-    {!Solver.sum_stats} semantics, so portfolio-raced or multi-query
-    verification is accounted in total, not winning-lane-only. *)
+    verdicts) plus the SAT effort of the session: its solver's counters
+    accumulate over every candidate's proof. *)
 
 type strategy = {
   s_name : string;

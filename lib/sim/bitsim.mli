@@ -16,8 +16,7 @@
 
     A [t] is immutable after {!of_compiled} and safe to share across
     OCaml 5 domains — [eval_into] writes only the caller-owned plane, so
-    word blocks can be sharded with one plane per domain (see
-    [Probability.simulated]). *)
+    one engine can serve several domains, each with its own plane. *)
 
 type t
 

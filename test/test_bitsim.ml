@@ -268,22 +268,6 @@ let test_simulated_packed_reproducible () =
     (fun i p -> check_close "same seed, same estimate" p (Hashtbl.find b i))
     a
 
-let test_simulated_domain_sharding_deterministic () =
-  (* 40k vectors crosses the domain-sharding threshold (256 blocks); the
-     per-block streams must make the sharded result equal a small run's
-     prefix-free but identically seeded estimate recomputed sharded or
-     not — easiest check: two identical large runs agree exactly. *)
-  let net = (Circuits.comparator 4).Circuits.net in
-  let input_probs = Probability.uniform_inputs net in
-  let run () =
-    Probability.simulated ~packed:true net
-      ~rng:(Lowpower.Rng.create 17) ~input_probs ~vectors:40_000
-  in
-  let a = run () and b = run () in
-  Hashtbl.iter
-    (fun i p -> check_close "sharded run deterministic" p (Hashtbl.find b i))
-    a
-
 (* ---- sequential stats: packed vs event-driven ------------------------ *)
 
 let same_stats (a : Seq_circuit.stats) (b : Seq_circuit.stats) =
@@ -395,8 +379,6 @@ let suite =
     quick "packed vs scalar simulated statistics"
       test_simulated_packed_vs_scalar_statistical;
     quick "packed simulated reproducible" test_simulated_packed_reproducible;
-    quick "domain-sharded simulated deterministic"
-      test_simulated_domain_sharding_deterministic;
     prop_seq_sim_packed_equals_scalar;
     quick "seq sim with enables identical packed vs scalar"
       test_seq_sim_packed_with_enables;

@@ -378,7 +378,7 @@ let prop_incremental_vs_oneshot =
     (fun seed ->
       let r = Lowpower.Rng.create (seed + 3) in
       let nvars = 7 in
-      let s = Solver.create ~seed () in
+      let s = Solver.create () in
       for _ = 1 to nvars do ignore (Solver.new_var s) done;
       let clauses = ref [] in
       let prev_conflicts = ref 0 in
@@ -416,46 +416,17 @@ let prop_incremental_vs_oneshot =
             && List.for_all (List.exists (Solver.lit_true s)) !clauses)
         (List.init 6 Fun.id))
 
-let test_solve_portfolio () =
-  let build_php pigeons holes k =
-    let s =
-      Solver.create ~seed:k
-        ~phase:(match k mod 3 with 1 -> `True | 2 -> `Random | _ -> `False)
-        ()
-    in
-    php s pigeons holes;
-    s
-  in
-  (* UNSAT race: every lane must agree, whichever wins. *)
-  let verdict, winner = Solver.solve_portfolio 3 (build_php 6 5) in
-  Alcotest.(check bool) "portfolio PHP(6,5) unsat" true (verdict = Solver.Unsat);
-  Alcotest.(check bool) "winner reports conflicts" true
-    ((Solver.stats winner).Solver.conflicts > 0);
-  (* SAT race: the winning lane's model must be genuine. *)
-  let verdict, winner = Solver.solve_portfolio 3 (build_php 5 5) in
-  Alcotest.(check bool) "portfolio PHP(5,5) sat" true (verdict = Solver.Sat);
-  Alcotest.(check bool) "winner model places every pigeon" true
-    (List.for_all
-       (fun i ->
-         List.exists (fun h -> Solver.value winner ((i * 5) + h)) [ 0; 1; 2; 3; 4 ])
-       [ 0; 1; 2; 3; 4 ]);
-  (* Assumptions address every lane (deterministic variable numbering). *)
-  let verdict, _ =
-    Solver.solve_portfolio ~assumptions:[ Solver.neg 0; Solver.neg 1 ] 2
-      (build_php 2 2)
-  in
-  Alcotest.(check bool) "portfolio under assumptions" true
-    (verdict = Solver.Unsat)
-
-let test_cec_portfolio_matches_sequential () =
+(* [~rounds:0] skips the simulation filter, so the solver itself must
+   find the mutant's counterexample. *)
+let test_cec_sat_phase () =
   let a = (Circuits.ripple_adder 6).Circuits.net in
   let b = Network.copy a in
   ignore (Dontcare.optimize ~verify:`Off b Dontcare.For_area);
   let b, _ = Balance.balance ~verify:`Off b in
   let stats_seen = ref false in
-  (match Cec.check ~portfolio:2 ~on_stats:(fun _ -> stats_seen := true) a b with
+  (match Cec.check ~on_stats:(fun _ -> stats_seen := true) a b with
   | Cec.Equivalent -> ()
-  | Cec.Counterexample _ -> Alcotest.fail "portfolio refuted an equivalence");
+  | Cec.Counterexample _ -> Alcotest.fail "refuted an equivalence");
   Alcotest.(check bool) "on_stats delivered" true !stats_seen;
   let m = Network.copy a in
   let victim =
@@ -464,10 +435,10 @@ let test_cec_portfolio_matches_sequential () =
   Network.replace_func m victim
     (Expr.not_ (Network.func m victim))
     (Network.fanins m victim);
-  match Cec.check ~rounds:0 ~portfolio:2 a m with
-  | Cec.Equivalent -> Alcotest.fail "portfolio missed a mutant"
+  match Cec.check ~rounds:0 a m with
+  | Cec.Equivalent -> Alcotest.fail "SAT missed a mutant"
   | Cec.Counterexample vec ->
-    Alcotest.(check bool) "portfolio counterexample replays" true
+    Alcotest.(check bool) "SAT counterexample replays" true
       (Cec.replay a m vec)
 
 (* --- incremental sessions --- *)
@@ -814,8 +785,7 @@ let suite =
     quick "subsumption and self-subsumption counters" test_subsumption_counters;
     quick "LBD clause-db reduction fires" test_clause_db_reduction;
     prop_incremental_vs_oneshot;
-    quick "solve_portfolio races and agrees" test_solve_portfolio;
-    quick "cec portfolio matches sequential" test_cec_portfolio_matches_sequential;
+    quick "cec SAT phase: stats + refutation" test_cec_sat_phase;
     quick "cec session basic lifecycle" test_cec_session_basic;
     quick "cec session never-true obligations" test_cec_session_never_true;
     quick "verify sessions on guard/precompute" test_verify_session_on_passes;
