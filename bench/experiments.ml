@@ -1187,7 +1187,8 @@ let e23_rewrite () =
          dense-coefficient FIR-8 under a correlated (random-walk) input \
          trace - measured-toggle costing vs area costing over the same \
          SAT-verified rule set; every accepted step proved against its \
-         parent through one shared incremental CEC session"
+         parent through an incremental CEC session on the parent's \
+         elaboration"
       [ ("search", T.Left); ("ops", T.Right); ("steps", T.Right);
         ("proofs", T.Right); ("toggles", T.Right); ("reduction", T.Right) ]
   in

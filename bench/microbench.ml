@@ -377,8 +377,8 @@ let batch_entries () =
   [ ("batch_1000_mixed", ns4); ("batch_1000_mixed_serial", ns1) ]
 
 (* The rewrite search is likewise one-shot: a full run over the
-   dense-coefficient FIR-8 spends seconds in SAT-swept equivalence
-   proofs, and whole-search wall clock is the number of interest.  Fresh
+   dense-coefficient FIR-8 costs and SAT-proves candidates for most of a
+   second, and whole-search wall clock is the number of interest.  Fresh
    memo, fixed search seed, so the search itself is deterministic. *)
 let rewrite_entries () =
   let dfg =

@@ -592,6 +592,8 @@ let workloads =
 let rewrite_run workload taps width samples trace_len seed model coeffs =
   let r = Lowpower.Rng.create seed in
   with_input (fun () ->
+      if samples < 0 then invalid_arg "rewrite: --samples must be >= 0";
+      if trace_len < 1 then invalid_arg "rewrite: --trace-length must be >= 1";
       let dfg = List.assoc workload workloads taps coeffs width in
       (dfg, Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true ()))
   @@ fun (dfg, trace) ->

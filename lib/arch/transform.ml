@@ -86,6 +86,7 @@ let strength_reduce dfg =
   out
 
 let equivalent ?(samples = 64) a b ~rng =
+  if samples < 0 then invalid_arg "Transform.equivalent: negative samples";
   (* Transforms may drop inputs the outputs never depended on, so compare
      over the union of input names (each eval reads only what it needs). *)
   let names =

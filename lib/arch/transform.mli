@@ -26,7 +26,8 @@ val equivalent :
     transform that wrongly drops a {e used} input is caught because the
     surviving graph's outputs still vary with it).  [samples] defaults
     to 64 and is caller-configurable — the rewrite search threads its
-    [--samples] knob through here. *)
+    [--samples] knob through here; [0] checks nothing and a negative
+    count raises [Invalid_argument]. *)
 
 val critical_steps : Dfg.t -> ?mul_steps:int -> unit -> int
 (** ASAP makespan under {!Schedule.uniform_delays} — the quantity

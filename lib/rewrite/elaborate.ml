@@ -13,10 +13,10 @@
      same netlist, keeping the hash-keyed activity cache sound.
    - constant bits fold through every gate builder and a structural gate
      cache dedups identical (op, fanins) gates, so a constant-coefficient
-     array multiplier collapses to its live shift-add rows.  [extend]
-     seeds that cache from an existing elaboration, so a rewrite
-     candidate rebuilt into a copy of its base shares every untouched
-     cone and the equivalence miter collapses to the rewritten logic. *)
+     array multiplier collapses to its live shift-add rows.  A candidate
+     and its parent elaborate to the same gates wherever the rewrite left
+     the graph alone, which is what lets [Cec.session_check] sweep the
+     untouched cones onto the parent's encoding. *)
 
 type bit = Zero | One | N of Network.id
 
@@ -26,11 +26,9 @@ let or2 = Expr.Or [ Expr.var 0; Expr.var 1 ]
 let not1 = Expr.not_ (Expr.var 0)
 let buf1 = Expr.var 0
 
-(* The bit-level builders over one target network and structural gate
-   cache — shared by [to_network] (fresh net) and [extend] (copy of a
-   previous elaboration, cache pre-seeded with its gates). *)
+(* The bit-level builders over one target network and its structural
+   gate cache. *)
 type builder = {
-  net : Network.t;
   w : int;
   band : bit -> bit -> bit;
   bor : bit -> bit -> bit;
@@ -38,7 +36,8 @@ type builder = {
   anchor : bit -> Network.id;
 }
 
-let make_builder net w cache =
+let make_builder net w =
+  let cache = Hashtbl.create 256 in
   let gate tag expr fanins =
     let key = (tag, fanins) in
     match Hashtbl.find_opt cache key with
@@ -80,40 +79,12 @@ let make_builder net w cache =
     | One -> gate 6 (Expr.Const true) []
     | N i -> if Network.is_input net i then gate 7 buf1 [ i ] else i
   in
-  { net; w; band; bor; bxor; anchor }
-
-(* Recover the (tag, fanins) cache of an elaboration-produced network, so
-   rebuilding a structurally-overlapping DFG into a copy reuses its node
-   ids.  Gates we did not emit (there are none in our own output, but be
-   permissive) simply are not shared. *)
-let seed_cache net cache =
-  List.iter
-    (fun i ->
-      if not (Network.is_input net i) then begin
-        let f = Network.func net i in
-        let tag =
-          if f = not1 then Some 1
-          else if f = and2 then Some 2
-          else if f = or2 then Some 3
-          else if f = xor2 then Some 4
-          else if f = Expr.Const false then Some 5
-          else if f = Expr.Const true then Some 6
-          else if f = buf1 then Some 7
-          else None
-        in
-        match tag with
-        | Some t -> Hashtbl.replace cache (t, Network.fanins net i) i
-        | None -> ()
-      end)
-    (Network.node_ids net)
+  { w; band; bor; bxor; anchor }
 
 (* Word-level lowering of [dfg] through [b], reading input words from
    [in_bits].  Returns the {e lazy} per-node evaluator: only the cones
-   actually demanded create gates, so a sweeping obligation that stops at
-   a cut-point never builds the logic above it.  [subst] overrides the
-   lowering of individual nodes — how proven-equal cut-points redirect a
-   candidate's downstream onto the base's gates. *)
-let lower ?(subst = fun _ -> None) b in_bits dfg =
+   actually demanded create gates, so dead DFG nodes build nothing. *)
+let lower b in_bits dfg =
   let w = b.w in
   let ripple a v ~carry =
     let out = Array.make w Zero in
@@ -153,10 +124,7 @@ let lower ?(subst = fun _ -> None) b in_bits dfg =
     | Some bs -> bs
     | None ->
       let bs =
-        match subst i with
-        | Some bs -> bs
-        | None -> (
-          match (Dfg.op dfg i, Dfg.args dfg i) with
+        match (Dfg.op dfg i, Dfg.args dfg i) with
         | Dfg.Input nm, [] -> Hashtbl.find in_bits nm
         | Dfg.Const c, [] -> const_bits c
         | Dfg.Add, [ x; y ] -> add_bits (eval x) (eval y)
@@ -171,22 +139,16 @@ let lower ?(subst = fun _ -> None) b in_bits dfg =
             else (x, y)
           in
           mul_bits (eval x) (eval y)
-          | Dfg.Shift_left k, [ x ] -> shift_bits k (eval x)
-          | Dfg.Output _, [ x ] -> eval x
-          | (Dfg.Input _ | Dfg.Const _ | Dfg.Add | Dfg.Sub | Dfg.Mul
-            | Dfg.Shift_left _ | Dfg.Output _), _ ->
-            invalid_arg "Elaborate: corrupt arity")
+        | Dfg.Shift_left k, [ x ] -> shift_bits k (eval x)
+        | Dfg.Output _, [ x ] -> eval x
+        | (Dfg.Input _ | Dfg.Const _ | Dfg.Add | Dfg.Sub | Dfg.Mul
+          | Dfg.Shift_left _ | Dfg.Output _), _ ->
+          invalid_arg "Elaborate: corrupt arity"
       in
       Hashtbl.replace bits i bs;
       bs
   in
   eval
-
-(* Anchored output bit-vectors of a lowering. *)
-let outputs_of b eval dfg =
-  List.map
-    (fun (nm, i) -> (nm, Array.map b.anchor (eval i)))
-    (Dfg.outputs dfg)
 
 let to_network ?inputs dfg =
   let w = Dfg.width dfg in
@@ -214,13 +176,15 @@ let to_network ?inputs dfg =
       in
       Hashtbl.replace in_bits nm bits)
     names;
-  let b = make_builder net w (Hashtbl.create 256) in
+  let b = make_builder net w in
+  let eval = lower b in_bits dfg in
   List.iter
-    (fun (nm, ids) ->
+    (fun (nm, i) ->
       Array.iteri
-        (fun k id -> Network.set_output net (Printf.sprintf "%s.%d" nm k) id)
-        ids)
-    (outputs_of b (lower b in_bits dfg) dfg);
+        (fun k bit ->
+          Network.set_output net (Printf.sprintf "%s.%d" nm k) (b.anchor bit))
+        (eval i))
+    (Dfg.outputs dfg);
   net
 
 let split_bit_name (name : string) =
@@ -233,144 +197,6 @@ let split_bit_name (name : string) =
     with
     | Some k -> Some (nm, k)
     | None -> None)
-
-(* Copy the base elaboration, recover its input words ("nm.k" naming)
-   and pre-seed a builder with its gates — the shared setup of [extend]
-   and [sweep]. *)
-let reopen ~base dfg =
-  let w = Dfg.width dfg in
-  let net = Network.copy base in
-  let in_bits = Hashtbl.create 8 in
-  List.iter
-    (fun i ->
-      match split_bit_name (Network.name net i) with
-      | Some (nm, k) when k >= 0 && k < w ->
-        let arr =
-          match Hashtbl.find_opt in_bits nm with
-          | Some arr -> arr
-          | None ->
-            let arr = Array.make w Zero in
-            Hashtbl.replace in_bits nm arr;
-            arr
-        in
-        arr.(k) <- N i
-      | _ -> invalid_arg "Elaborate.extend: base is not a width-w elaboration")
-    (Network.inputs net);
-  List.iter
-    (fun (nm, _) ->
-      if not (Hashtbl.mem in_bits nm) then
-        invalid_arg ("Elaborate.extend: base lacks input word " ^ nm))
-    (Dfg.inputs dfg);
-  let cache = Hashtbl.create 256 in
-  seed_cache net cache;
-  let base_outs = Network.outputs base in
-  if List.length base_outs <> w * List.length (Dfg.outputs dfg) then
-    invalid_arg "Elaborate.extend: output words differ from base";
-  let base_bit nm k =
-    match List.assoc_opt (Printf.sprintf "%s.%d" nm k) base_outs with
-    | Some id -> id
-    | None -> invalid_arg ("Elaborate.extend: base lacks output word " ^ nm)
-  in
-  (net, in_bits, make_builder net w cache, base_bit)
-
-(* OR over all output bits of [base XOR candidate]. *)
-let output_miter b base_bit outs =
-  List.fold_left
-    (fun acc (nm, ids) ->
-      let acc = ref acc in
-      Array.iteri
-        (fun k id -> acc := b.bor !acc (b.bxor (N (base_bit nm k)) (N id)))
-        ids;
-      !acc)
-    Zero outs
-
-let extend ~base dfg =
-  let net, in_bits, b, base_bit = reopen ~base dfg in
-  (* Rebuild the candidate through the seeded cache: untouched cones
-     resolve to the base's own nodes, so each per-bit XOR collapses to
-     [Zero] wherever the logic is structurally identical and the OR-tree
-     keeps only the genuinely rewritten bits. *)
-  let eval = lower b in_bits dfg in
-  let miter = output_miter b base_bit (outputs_of b eval dfg) in
-  Network.set_output net "miter" (b.anchor miter);
-  net
-
-type outcome = Equivalent | Counterexample of bool array | Undecided
-
-let sweep ~base ~ref_dfg dfg ~pairs ~prove =
-  if Dfg.width ref_dfg <> Dfg.width dfg then
-    invalid_arg "Elaborate.sweep: reference and candidate widths differ";
-  (* Each suspected-equal (candidate, reference) word pair gets its own
-     obligation network: a fresh copy of [base] plus {e only} the two
-     cones up to the cut-point (lowering is lazy) and a local word miter.
-     A discharged proof merges the cut-point — the candidate node
-     thereafter lowers to the reference node's bits, so downstream logic
-     re-lowers onto the reference's own gates and the final output miter
-     usually folds to constant false with no whole-datapath SAT call at
-     all.  A failed local proof is not a refutation (intermediate words
-     may differ while outputs agree); it just leaves the cut-point
-     unmerged.  Merges are recorded as a candidate-node → reference-node
-     map rather than as bit vectors: the reference is re-lowered in each
-     obligation network, so its bits are always ids of {e that} network
-     — gate construction is deterministic over the shared seeded cache,
-     and reference cones shared with [base] cost nothing. *)
-  let merged : (Dfg.id, Dfg.id) Hashtbl.t = Hashtbl.create 8 in
-  let lower_both b in_bits =
-    let ref_word = lower b in_bits ref_dfg in
-    let subst i = Option.map ref_word (Hashtbl.find_opt merged i) in
-    (ref_word, lower ~subst b in_bits dfg)
-  in
-  (* Several reference nodes can share one signature (partial sums that
-     alias on the trace); the first that proves wins, and candidates are
-     ordered best-guess-first by the caller, so the structural
-     counterpart normally discharges before an aliased class-mate drags
-     the solver into an accidental deep theorem. *)
-  List.iter
-    (fun (ci, ris) ->
-      List.iter
-        (fun ri ->
-          if not (Hashtbl.mem merged ci) then begin
-            let net, in_bits, b, _ = reopen ~base dfg in
-            let ref_word, cand_word = lower_both b in_bits in
-            let cb = cand_word ci and rb = ref_word ri in
-            if cb = rb then Hashtbl.replace merged ci ri
-            else begin
-              let m = ref Zero in
-              Array.iteri (fun k x -> m := b.bor !m (b.bxor x rb.(k))) cb;
-              match !m with
-              | Zero -> Hashtbl.replace merged ci ri
-              | One -> ()
-              | N _ ->
-                Network.set_output net "sweep" (b.anchor !m);
-                if prove net "sweep" = `Never_true then
-                  Hashtbl.replace merged ci ri
-            end
-          end)
-        ris)
-    pairs;
-  let net, in_bits, b, _ = reopen ~base dfg in
-  let ref_word, cand_word = lower_both b in_bits in
-  let ref_outs =
-    List.map (fun (nm, i) -> (nm, ref_word i)) (Dfg.outputs ref_dfg)
-  in
-  let m = ref Zero in
-  List.iter
-    (fun (nm, i) ->
-      let rb =
-        match List.assoc_opt nm ref_outs with
-        | Some rb -> rb
-        | None -> invalid_arg ("Elaborate.sweep: reference lacks output " ^ nm)
-      in
-      Array.iteri (fun k x -> m := b.bor !m (b.bxor x rb.(k))) (cand_word i))
-    (Dfg.outputs dfg);
-  match !m with
-  | Zero -> Equivalent
-  | m -> (
-    Network.set_output net "miter" (b.anchor m);
-    match prove net "miter" with
-    | `Never_true -> Equivalent
-    | `Witness vec -> Counterexample vec
-    | `Undecided -> Undecided)
 
 let input_vector net env =
   let bit_of (name : string) =

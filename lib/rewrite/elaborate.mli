@@ -11,7 +11,11 @@
     elaborated in a canonical order (constants pick the multiplier rows,
     otherwise {!Dfg.node_hash} decides), so DFGs equal modulo
     commutation produce identical netlists — the property that keeps the
-    {!Dfg.structural_hash}-keyed activity cache sound. *)
+    {!Dfg.structural_hash}-keyed activity cache sound.  Likewise a
+    rewrite candidate elaborates to its parent's gates wherever the
+    rewrite left the graph alone, so [Cec.session_check] against the
+    parent's elaboration merges those cones structurally and only the
+    rewritten logic reaches the solver. *)
 
 val to_network : ?inputs:string list -> Dfg.t -> Network.t
 (** Elaborate the output cones (dead DFG nodes produce no gates).
@@ -19,55 +23,6 @@ val to_network : ?inputs:string list -> Dfg.t -> Network.t
     graph's own inputs (Invalid_argument otherwise) and exists so two
     candidates that differ in dead inputs still elaborate over identical
     input positions, as [Cec] requires. *)
-
-val extend : base:Network.t -> Dfg.t -> Network.t
-(** Rebuild [dfg] {e into a copy of [base]} (a previous {!to_network}
-    elaboration over the same input words) with the structural gate
-    cache seeded from the base's own gates, and add one output ["miter"]
-    — the OR over all output bits of [base_bit XOR candidate_bit].
-    Cones the rewrite did not touch resolve to the base's existing
-    nodes, so their XORs fold to constant false and the miter cone
-    shrinks to the genuinely rewritten logic; a candidate structurally
-    identical to the base yields a constant-false miter outright.  The
-    result structurally extends [base] in the [Cec.session_never_true]
-    sense, so one shared session can discharge a whole search's
-    equivalence proofs while encoding only each candidate's rewritten
-    suffix.  Raises [Invalid_argument] when [base] was not elaborated at
-    this width or over a superset of the graph's input words, or when
-    the output words differ. *)
-
-type outcome = Equivalent | Counterexample of bool array | Undecided
-
-val sweep :
-  base:Network.t ->
-  ref_dfg:Dfg.t ->
-  Dfg.t ->
-  pairs:(Dfg.id * Dfg.id list) list ->
-  prove:(Network.t -> string -> [ `Never_true | `Witness of bool array | `Undecided ]) ->
-  outcome
-(** SAT-sweeping equivalence check of [dfg] against [ref_dfg], with
-    every obligation built {e into a copy of [base]} (a {!to_network}
-    elaboration over the same input words — [ref_dfg] is [base]'s own
-    DFG, or any graph already proven equivalent to it, which by
-    transitivity makes the verdict a verdict against [base]).  [pairs]
-    lists each candidate DFG node with the reference nodes suspected to
-    compute the same word — typically matched by identical simulation
-    signatures, best guess first — in candidate-topological (bottom-up)
-    order.  Each attempt becomes a tiny obligation network (a fresh base
-    copy plus only the two cut-point cones, lowered lazily) whose local
-    word miter is handed to [prove net out]; [`Never_true] merges the
-    cut-point, so downstream candidate logic re-lowers onto the
-    reference's own gates and later miters fold away.  A failed or
-    undecided local proof merely leaves the pair unmerged — intermediate
-    words may differ while outputs agree.  The final output-level miter
-    across all output words decides: folded to constant false it is
-    [Equivalent] with no further SAT work, otherwise [prove] decides —
-    [`Witness] returns the input plane as [Counterexample], and an
-    effort-bounded prover may return [`Undecided], which becomes
-    {!Undecided} (neither proven nor refuted).  Every obligation network
-    structurally extends [base], so [prove] can be
-    [Cec.session_never_true_within] on one shared incremental session
-    for a whole search. *)
 
 val input_vector : Network.t -> (string * int) list -> bool array
 (** Encode a word environment as the elaborated network's input plane

@@ -3,13 +3,12 @@
    (memo-cached; graphs seen before pruned by [Dfg.structural_hash]), and
    moves to the cheapest one that passes the two-stage equivalence gate:
    [Transform.equivalent] random execution first (the cheap filter), then
-   a SAT sweep ([Elaborate.sweep]) through one shared incremental session
-   holding the original's encoding.  Proofs are relative to the current
-   graph — itself proven, so transitivity closes the chain back to the
-   original — with simulation-signature cut-points merging everything the
-   one new rewrite did not touch; each obligation is built into a copy of
-   the base netlist, so [Cec.session_never_true] encodes only small local
-   cones however deep the search runs.  A candidate failing either stage
+   [Cec.session_check] against a session on the current graph's
+   elaboration, opened lazily once per step.  Proofs are relative to the
+   current graph — itself proven, so transitivity closes the chain back
+   to the original — and the session's SAT sweep merges every cone the
+   one new rewrite did not touch, so only the rewritten logic reaches the
+   solver however deep the search runs.  A candidate failing either stage
    is recorded as refuted and never applied. *)
 
 type refutation = {
@@ -42,12 +41,11 @@ type result = {
    the best cost. *)
 let patience = 2
 
-(* Conflicts each SAT call may spend before its candidate is skipped. *)
+(* Conflicts each output-miter solve may spend before its candidate is
+   skipped. *)
 let sat_budget = 60_000
 
 type state = { g : Dfg.t; c : float; trail : step list (* reversed *) }
-
-exception Undecided_proof
 
 let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
     ~rng dfg ~trace =
@@ -59,97 +57,34 @@ let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
   let cost g = Cost.of_dfg ?memo ~model ~inputs g ~trace in
   let elaborate g = Elaborate.to_network ~inputs g in
   let base_net = elaborate dfg in
-  let sess = Cec.session base_net in
-  (* Simulation signatures guide the SAT sweep: a candidate node whose
-     result word matches a node of its (already-proven) parent on every
-     trace sample is a suspected cut-point, and a small local proof lets
-     the sweep merge it onto the parent's gates.  Map each signature to
-     the first (in topo order) parent node computing it; the hash set
-     skips candidate nodes the structural gate cache resolves without
-     any proof. *)
-  let sig_tables parent =
-    let sigs = Hashtbl.create 64 and hashes = Hashtbl.create 64 in
-    let vt = Dfg.value_trace parent trace in
-    List.iter
-      (fun i ->
-        Hashtbl.replace hashes (Dfg.node_hash parent i) ();
-        let s = Hashtbl.find vt i in
-        let cls = match Hashtbl.find_opt sigs s with Some l -> l | None -> [] in
-        Hashtbl.replace sigs s (i :: cls))
-      (Dfg.nodes parent);
-    (sigs, hashes)
-  in
-  let max_pairs = 16 in
-  let cut_pairs tables cand =
-    if trace = [] then []
-    else begin
-      let sigs, hashes = Lazy.force tables in
-      let vt = Dfg.value_trace cand trace in
-      let pairs = ref [] and n = ref 0 in
-      List.iter
-        (fun ci ->
-          if
-            !n < max_pairs
-            && not (Hashtbl.mem hashes (Dfg.node_hash cand ci))
-          then
-            match Hashtbl.find_opt sigs (Hashtbl.find vt ci) with
-            | Some cls ->
-              incr n;
-              (* Nearest node id first: rewrites renumber only locally,
-                 so the structural counterpart of [ci] — the cheap proof
-                 — almost always sits closest, and aliased class-mates
-                 (partial sums equal on every sample) are tried last. *)
-              let cls =
-                List.stable_sort
-                  (fun a b -> compare (abs (a - ci)) (abs (b - ci)))
-                  cls
-              in
-              pairs := (ci, cls) :: !pairs
-            | None -> ())
-        (Dfg.operation_nodes cand);
-      List.rev !pairs
-    end
-  in
   let refuted = ref [] in
   let candidates = ref 0 in
   let proofs = ref 0 in
   let undecided = ref 0 in
-  let verify parent tables cand =
+  let sat = ref Solver.empty_stats in
+  let verify sess cand =
     if not (Transform.equivalent ~samples dfg cand ~rng) then
       `Refuted `Random_exec
     else begin
-      (* SAT-sweep the candidate against its parent — itself proven
-         equivalent to the original, so transitivity makes every proof a
-         proof against the original while each obligation stays
-         one-rewrite local no matter how deep the search is.  Every
-         obligation network structurally extends the original base
-         elaboration, so the one shared session discharges them all.
-         Each SAT call is bounded by [sat_budget] conflicts; a candidate
-         the bound leaves undecided is skipped — never applied, but not
-         reported refuted either (and never memoized: a later retry may
-         succeed from the session's learned clauses). *)
+      (* The memo key is (original, candidate): the session's base is the
+         parent, already proven equal to the original.  A check over
+         [sat_budget] conflicts raises [Solver.Interrupted], so an
+         undecided candidate is skipped — never applied, never memoized,
+         not reported refuted. *)
+      let cand_net = elaborate cand in
       let prove () =
-        let sat_prove net out =
-          Cec.session_never_true_within sess ~conflicts:sat_budget net out
-        in
-        match
-          Elaborate.sweep ~base:base_net ~ref_dfg:parent cand
-            ~pairs:(cut_pairs tables cand) ~prove:sat_prove
-        with
-        | Elaborate.Equivalent -> Cec.Equivalent
-        | Elaborate.Counterexample vec -> Cec.Counterexample vec
-        | Elaborate.Undecided -> raise Undecided_proof
+        Cec.session_check ~conflicts:sat_budget (Lazy.force sess) cand_net
       in
       match
         (match memo with
-        | Some m -> Memo.check_with m base_net (elaborate cand) prove
+        | Some m -> Memo.check_with m base_net cand_net prove
         | None -> prove ())
       with
       | Cec.Equivalent ->
         incr proofs;
         `Proved
       | Cec.Counterexample _ -> `Refuted `Sat
-      | exception Undecided_proof ->
+      | exception Solver.Interrupted ->
         incr undecided;
         `Undecided
     end
@@ -183,11 +118,11 @@ let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
   let rec search cur best stale steps_left =
     if steps_left <= 0 then best
     else
-      let tables = lazy (sig_tables cur.g) in
+      let sess = lazy (Cec.session (elaborate cur.g)) in
       let next =
         List.find_map
           (fun (rule, site, g', c') ->
-            match verify cur.g tables g' with
+            match verify sess g' with
             | `Proved ->
               let step = { rule; site; cost_before = cur.c; cost_after = c' } in
               Some { g = g'; c = c'; trail = step :: cur.trail }
@@ -197,6 +132,8 @@ let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
             | `Undecided -> None)
           (ranked cur)
       in
+      if Lazy.is_val sess then
+        sat := Solver.sum_stats !sat (Cec.session_stats (Lazy.force sess));
       match next with
       | None -> best
       | Some next when next.c < best.c -> search next next 0 (steps_left - 1)
@@ -214,6 +151,6 @@ let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
     candidates = !candidates;
     proofs = !proofs;
     undecided = !undecided;
-    sat = Cec.session_stats sess;
+    sat = !sat;
     model;
   }

@@ -4,15 +4,15 @@
     costs the candidates under {!Cost} (graphs seen before pruned and
     re-costs cached via {!Dfg.structural_hash}), and puts them, cheapest
     first, through the two-stage equivalence gate: [Transform.equivalent]
-    random execution, then a SAT sweep ({!Elaborate.sweep}) through one
-    shared incremental [Sat.Cec] session holding the original's encoding.
-    The search moves to the first candidate proved.  Sweeps are relative
-    to the current graph — itself already proven, so transitivity closes
-    the chain to the original — with simulation-signature cut-points
-    merging everything the one new rewrite left untouched, so each
-    obligation encodes only a small local cone however deep the search
+    random execution, then [Cec.session_check] against one incremental
+    session on the current graph's elaboration, opened lazily once per
+    step.  The search moves to the first candidate proved.  Proofs are
+    relative to the current graph — itself already proven, so
+    transitivity closes the chain to the original — and the session's
+    SAT sweep merges every cone the one new rewrite left untouched, so
+    only the rewritten logic reaches the solver however deep the search
     runs.  Rewrites failing either stage are reported as {!refutation}s
-    and never applied; rewrites the per-call conflict budget leaves
+    and never applied; rewrites the per-check conflict budget leaves
     undecided are skipped (counted, not refuted).  The search is
     deterministic for a given rng seed. *)
 
@@ -38,7 +38,7 @@ type result = {
   candidates : int;  (** rule applications enumerated *)
   proofs : int;  (** SAT-verified acceptances *)
   undecided : int;  (** candidates skipped on SAT-budget exhaustion *)
-  sat : Solver.stats;  (** the shared session's solver counters *)
+  sat : Solver.stats;  (** solver counters summed over the step sessions *)
   model : Cost.model;
 }
 
@@ -55,8 +55,9 @@ val run :
 (** Search from [dfg] under the word [trace].  [max_steps] (default 24)
     bounds the depth, and the search stops after 2 steps in a row that
     do not improve the best cost; [samples] (default 64) sets the
-    random-execution sample count threaded to [Transform.equivalent];
-    each SAT call may spend 60000 conflicts — a candidate left undecided
-    is skipped, never applied and never memoized; [memo] caches candidate
-    costs and CEC verdicts across and within runs; [model] defaults to
-    {!Cost.default_model}. *)
+    random-execution sample count threaded to [Transform.equivalent],
+    which rejects a negative count with [Invalid_argument]; each
+    output-miter solve may spend 60000 conflicts — a candidate left
+    undecided is skipped, never applied and never memoized; [memo]
+    caches candidate costs and CEC verdicts across and within runs;
+    [model] defaults to {!Cost.default_model}. *)

@@ -287,34 +287,6 @@ let session_never_true sess ob out =
   retire sess act;
   r
 
-let session_never_true_within sess ~conflicts ob out =
-  let o =
-    match List.assoc_opt out (Network.outputs ob) with
-    | Some o -> o
-    | None -> invalid_arg "Cec.session_never_true_within: unknown output"
-  in
-  let act = fresh_activation sess in
-  let lit_of = extend_base sess ob act in
-  let l = lit_of o in
-  let c0 = (Solver.stats sess.s).Solver.conflicts in
-  Solver.set_interrupt sess.s (fun () ->
-      (Solver.stats sess.s).Solver.conflicts - c0 > conflicts);
-  let r =
-    match Solver.solve ~assumptions:[ act; l ] sess.s with
-    | Solver.Unsat -> `Never_true
-    | Solver.Sat ->
-      let vec =
-        Array.map (fun l -> Solver.lit_true sess.s l) sess.env.Cnf.inputs
-      in
-      if List.assoc out (Network.eval_outputs ob vec) then `Witness vec
-      else
-        failwith "Cec.session_never_true_within: witness failed network replay"
-    | exception Solver.Interrupted -> `Undecided
-  in
-  Solver.set_interrupt sess.s (fun () -> false);
-  retire sess act;
-  r
-
 type handle = {
   h_net : Network.t;
   h_act : Solver.lit;
@@ -400,20 +372,23 @@ let miter_lit sess act a b =
     ~leaf:(fun v -> if v = 0 then a else b)
     Expr.(var 0 ^^^ var 1)
 
+(* One assumption solve that raises [Solver.Interrupted] once it has
+   spent more than [conflicts] conflicts; the hook is removed either way. *)
+let solve_within sess ~conflicts assumptions =
+  let c0 = (Solver.stats sess.s).Solver.conflicts in
+  Solver.set_interrupt sess.s (fun () ->
+      (Solver.stats sess.s).Solver.conflicts - c0 > conflicts);
+  Fun.protect
+    ~finally:(fun () -> Solver.set_interrupt sess.s (fun () -> false))
+    (fun () -> Solver.solve ~assumptions sess.s)
+
 (* Local proof that operand literal [l] equals base literal [b] under
    [act], within [sweep_conflicts]; [false] when refuted or over the cap. *)
 let prove_equal sess act l b =
   let m = miter_lit sess act l b in
-  let c0 = (Solver.stats sess.s).Solver.conflicts in
-  Solver.set_interrupt sess.s (fun () ->
-      (Solver.stats sess.s).Solver.conflicts - c0 > sweep_conflicts);
-  let proved =
-    match Solver.solve ~assumptions:[ act; m ] sess.s with
-    | Solver.Unsat -> true
-    | Solver.Sat | (exception Solver.Interrupted) -> false
-  in
-  Solver.set_interrupt sess.s (fun () -> false);
-  proved
+  match solve_within sess ~conflicts:sweep_conflicts [ act; m ] with
+  | Solver.Unsat -> true
+  | Solver.Sat | (exception Solver.Interrupted) -> false
 
 (* A vector on which some output's signature differs from the base's:
    the first differing lane of the first such output, in name order. *)
@@ -507,12 +482,17 @@ let session_encode sess other =
     in
     handle miters None
 
-let session_recheck sess h =
+let session_recheck ?conflicts sess h =
   if h.h_retired then invalid_arg "Cec.session_recheck: handle retired";
+  let solve assumptions =
+    match conflicts with
+    | None -> Solver.solve ~assumptions sess.s
+    | Some conflicts -> solve_within sess ~conflicts assumptions
+  in
   let rec go = function
     | [] -> Equivalent
     | (_, m) :: rest -> (
-      match Solver.solve ~assumptions:[ h.h_act; m ] sess.s with
+      match solve [ h.h_act; m ] with
       | Solver.Unsat -> go rest
       | Solver.Sat ->
         let vec =
@@ -528,8 +508,8 @@ let session_retire sess h =
     retire sess h.h_act
   end
 
-let session_check sess other =
+let session_check ?conflicts sess other =
   let h = session_encode sess other in
-  let r = session_recheck sess h in
-  session_retire sess h;
-  r
+  Fun.protect
+    ~finally:(fun () -> session_retire sess h)
+    (fun () -> session_recheck ?conflicts sess h)

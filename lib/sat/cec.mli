@@ -25,8 +25,10 @@
     a short local proof shows equal to a base node with the same
     simulation signature, reuses the base literal, so only outputs the
     sweep could not merge reach a full miter — an unchanged copy costs
-    no search at all.  The one-shot path is the oracle the session path
-    is property-tested against.  Every check runs one solver on the
+    no search at all.  An optional conflict cap on those miters lets a
+    caller give up on a check ({!Solver.Interrupted}) instead of
+    accepting or refuting.  The one-shot path is the oracle the session
+    path is property-tested against.  Every check runs one solver on the
     calling domain. *)
 
 type outcome =
@@ -95,26 +97,15 @@ val session_never_true : session -> Network.t -> string -> bool array option
     functions and fanins), and [Failure] if a SAT witness fails replay
     through {!Network.eval_outputs}. *)
 
-val session_never_true_within :
-  session ->
-  conflicts:int ->
-  Network.t ->
-  string ->
-  [ `Never_true | `Witness of bool array | `Undecided ]
-(** {!session_never_true} under a deterministic effort bound: the solver
-    gives up with [`Undecided] once the call has spent more than
-    [conflicts] conflicts (checked at the solver's interrupt-poll
-    granularity, so slightly more may elapse).  The obligation's
-    activation literal is retired either way, and clauses learned before
-    the bound are kept — a later retry resumes from stronger state.
-    Exceptions as {!session_never_true}. *)
-
-val session_check : session -> Network.t -> outcome
+val session_check : ?conflicts:int -> session -> Network.t -> outcome
 (** [session_check sess other]: decide whether [other] computes the
     base's outputs — {!session_encode}, {!session_recheck}, then
     {!session_retire}.  The base is never re-encoded; the verdict is as
     complete as {!check}'s.  Counterexamples are replay-confirmed as in
-    {!check}, but need not be the vector {!check} would return.  Raises
+    {!check}, but need not be the vector {!check} would return.
+    [conflicts] caps each output-miter solve as in {!session_recheck}:
+    over the cap the call raises {!Solver.Interrupted}, neither proving
+    nor refuting, and the handle is retired either way.  Raises
     [Invalid_argument] as {!check}. *)
 
 type handle
@@ -139,12 +130,16 @@ val session_encode : session -> Network.t -> handle
     variables, which sessions used only for {!session_never_true} never
     do.  Raises [Invalid_argument] as {!check}. *)
 
-val session_recheck : session -> handle -> outcome
+val session_recheck : ?conflicts:int -> session -> handle -> outcome
 (** The handle's verdict: its simulation counterexample if it has one,
-    else one uncapped assumption solve per remaining output miter
-    ([Equivalent] at once when the sweep merged every output).  After
-    the first call, later calls ride on retained learned clauses.
-    Raises [Invalid_argument] on a retired handle. *)
+    else one assumption solve per remaining output miter ([Equivalent]
+    at once when the sweep merged every output).  Each solve is
+    uncapped unless [conflicts] is given; a solve that spends more than
+    [conflicts] conflicts (polled at the solver's interrupt granularity,
+    so slightly more may elapse) raises {!Solver.Interrupted}, keeping
+    the clauses learned so far.  After the first call, later calls ride
+    on retained learned clauses.  Raises [Invalid_argument] on a retired
+    handle. *)
 
 val session_retire : session -> handle -> unit
 (** Permanently retire the handle's encoding (unit-negate its activation

@@ -181,7 +181,13 @@ let test_equivalent_dropped_input () =
   Alcotest.(check bool) "dropping an unused input is fine" true
     (Transform.equivalent (with_extra false) just_x ~rng:(rng ()));
   Alcotest.(check bool) "dropping a used input is caught" false
-    (Transform.equivalent (with_extra true) just_x ~rng:(rng ()))
+    (Transform.equivalent (with_extra true) just_x ~rng:(rng ()));
+  (* zero samples checks nothing; a negative count is rejected instead of
+     counting down forever *)
+  Alcotest.(check bool) "zero samples accept" true
+    (Transform.equivalent ~samples:0 (with_extra true) just_x ~rng:(rng ()));
+  expect_invalid_arg "negative samples" (fun () ->
+      Transform.equivalent ~samples:(-1) just_x just_x ~rng:(rng ()))
 
 (* --- Schedule --- *)
 

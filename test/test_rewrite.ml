@@ -360,69 +360,87 @@ let test_search_refutes_then_admits () =
   | Cec.Equivalent -> ()
   | Cec.Counterexample _ -> Alcotest.fail "final not equivalent under CEC"
 
-(* The conflict-budgeted session probe behind [Search]'s [sat_budget]:
-   proves an easy obligation outright, replays a genuine witness on a
-   broken candidate, and returns [`Undecided] when the deterministic
-   budget trips before the proof completes — after which the same
-   session, stronger for the learned clauses it kept, finishes the
-   proof on retry. *)
+(* The conflict-capped session check behind [Search]'s [sat_budget],
+   against a session on the parent's elaboration: proves an easy rewrite
+   outright, refutes a broken candidate with a genuine counterexample,
+   and raises [Solver.Interrupted] when the cap trips before the proof
+   completes — after which the same session, stronger for the learned
+   clauses it kept, finishes the proof. *)
 let test_budgeted_session () =
+  let csd g =
+    match Rules.apply Rules.csd_mul g with
+    | Some d -> d
+    | None -> Alcotest.fail "no csd site"
+  in
   let dfg = Gen_dfg.fir ~taps:1 ~coeffs:[ 127 ] ~width:8 () in
   let inputs = List.sort compare (List.map fst (Dfg.inputs dfg)) in
   let base = Elaborate.to_network ~inputs dfg in
   let sess = Cec.session base in
-  let d1 =
-    match Rules.apply Rules.csd_mul dfg with
-    | Some d -> d
-    | None -> Alcotest.fail "no csd site"
-  in
   (match
-     Cec.session_never_true_within sess ~conflicts:1_000_000
-       (Elaborate.extend ~base d1) "miter"
+     Cec.session_check ~conflicts:1_000_000 sess
+       (Elaborate.to_network ~inputs (csd dfg))
    with
-  | `Never_true -> ()
-  | `Witness _ -> Alcotest.fail "sound rewrite refuted"
-  | `Undecided -> Alcotest.fail "easy obligation left undecided");
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ -> Alcotest.fail "sound rewrite refuted");
   let broken =
     match broken_rule.Rules.sites dfg with
     | site :: _ -> (
       match broken_rule.Rules.apply_at dfg site with
-      | Some d -> d
+      | Some d -> Elaborate.to_network ~inputs d
       | None -> Alcotest.fail "broken rule did not apply")
     | [] -> Alcotest.fail "broken rule found no site"
   in
-  (match
-     Cec.session_never_true_within sess ~conflicts:1_000_000
-       (Elaborate.extend ~base broken) "miter"
-   with
-  | `Witness vec ->
-    (* the witness was already replayed against the network inside Cec *)
-    Alcotest.(check bool) "witness covers the input plane" true
-      (Array.length vec > 0)
-  | `Never_true -> Alcotest.fail "broken candidate proved equivalent"
-  | `Undecided -> Alcotest.fail "broken candidate left undecided");
-  (* A hard multiplier identity under budget 1: the interrupt hook is
-     polled every ~1024 conflicts, far short of the tens of thousands
-     this proof needs, so the call must come back undecided — and the
+  (match Cec.session_check ~conflicts:1_000_000 sess broken with
+  | Cec.Counterexample vec ->
+    Alcotest.(check bool) "counterexample replays" true
+      (Cec.replay base broken vec)
+  | Cec.Equivalent -> Alcotest.fail "broken candidate proved equivalent");
+  (* A hard multiplier identity under a 1-conflict cap: the interrupt
+     hook is polled every ~1024 conflicts, far short of the tens of
+     thousands this proof needs, so the call must give up — and the
      session must survive it. *)
   let hard = Gen_dfg.fir ~taps:1 ~coeffs:[ 23453 ] ~width:16 () in
   let hinputs = List.sort compare (List.map fst (Dfg.inputs hard)) in
-  let hbase = Elaborate.to_network ~inputs:hinputs hard in
-  let hsess = Cec.session hbase in
-  let h1 =
-    match Rules.apply Rules.csd_mul hard with
-    | Some d -> d
-    | None -> Alcotest.fail "no csd site on hard fir"
-  in
-  let ob = Elaborate.extend ~base:hbase h1 in
-  (match Cec.session_never_true_within hsess ~conflicts:1 ob "miter" with
-  | `Undecided -> ()
-  | `Never_true -> Alcotest.fail "proved within a 1-conflict budget"
-  | `Witness _ -> Alcotest.fail "sound rewrite refuted");
-  match Cec.session_never_true_within hsess ~conflicts:1_000_000 ob "miter" with
-  | `Never_true -> ()
-  | `Witness _ -> Alcotest.fail "sound rewrite refuted on retry"
-  | `Undecided -> Alcotest.fail "generous retry budget exhausted"
+  let hsess = Cec.session (Elaborate.to_network ~inputs:hinputs hard) in
+  let cand = Elaborate.to_network ~inputs:hinputs (csd hard) in
+  (match Cec.session_check ~conflicts:1 hsess cand with
+  | _ -> Alcotest.fail "decided within a 1-conflict cap"
+  | exception Solver.Interrupted -> ());
+  match Cec.session_check ~conflicts:1_000_000 hsess cand with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ -> Alcotest.fail "sound rewrite refuted on retry"
+
+(* Every rule site of random DFGs, the unsound [broken_rule] included:
+   a session on the parent's elaboration reaches the one-shot
+   [Cec.check] verdict, and its counterexamples are genuine. *)
+let prop_session_matches_check =
+  prop ~count:100 "session verdicts on rule candidates equal one-shot"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Lowpower.Rng.create seed in
+      let ops = 4 + Lowpower.Rng.int r 9 in
+      (* Up to width 5: wider variable-by-variable multiplier identities
+         cost the one-shot oracle seconds each. *)
+      let width = 4 + Lowpower.Rng.int r 2 in
+      let g = Gen_dfg.random_dfg r ~ops ~width () in
+      let inputs = List.sort compare (List.map fst (Dfg.inputs g)) in
+      let parent = Elaborate.to_network ~inputs g in
+      let sess = Cec.session parent in
+      List.for_all
+        (fun rule ->
+          List.for_all
+            (fun site ->
+              match rule.Rules.apply_at g site with
+              | None -> true
+              | Some g' -> (
+                let cand = Elaborate.to_network ~inputs g' in
+                let oneshot = Cec.check parent cand = Cec.Equivalent in
+                match Cec.session_check sess cand with
+                | Cec.Equivalent -> oneshot
+                | Cec.Counterexample vec ->
+                  (not oneshot) && Cec.replay parent cand vec))
+            (rule.Rules.sites g))
+        (broken_rule :: Rules.all))
 
 (* The search behaves under the fallback cost model too (what the
    LOWPOWER_BITSIM=off CI pass exercises end to end). *)
@@ -459,6 +477,7 @@ let suite =
     quick "search: refuted rewrite does not stall a step"
       test_search_refutes_then_admits;
     quick "cec: conflict-budgeted session probe" test_budgeted_session;
+    prop_session_matches_check;
     quick "search: independence fallback model"
       test_search_independence_model;
   ]

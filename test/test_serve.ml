@@ -183,6 +183,29 @@ let test_memo_cec_prover_order () =
   Alcotest.(check bool) "then session: fresh session verdict" true
     (Memo.check_with m net mutant session = fresh_session)
 
+(* A prover that gives up, as a conflict-capped session check does with
+   [Solver.Interrupted], leaves no verdict behind: the exception reaches
+   the caller and the next check of the pair runs its prover again. *)
+let test_memo_cec_prover_raises () =
+  let m = Memo.create () in
+  let net = mk_net 13 in
+  let decomposed = Subject.decompose (Network.copy net) in
+  (match
+     Memo.check_with m net decomposed (fun () -> raise Solver.Interrupted)
+   with
+  | _ -> Alcotest.fail "prover exception swallowed"
+  | exception Solver.Interrupted -> ());
+  Alcotest.(check int) "nothing cached" 0 (Memo.stats m).Memo.entries;
+  let ran = ref false in
+  let v =
+    Memo.check_with m net decomposed (fun () ->
+        ran := true;
+        Cec.check net decomposed)
+  in
+  Alcotest.(check bool) "retry ran its prover" true !ran;
+  Alcotest.(check bool) "retry proved" true (v = Cec.Equivalent);
+  Alcotest.(check int) "proof cached" 1 (Memo.stats m).Memo.entries
+
 let test_memo_eviction () =
   let m = Memo.create ~capacity:4 () in
   for seed = 1 to 12 do
@@ -481,6 +504,7 @@ let suite =
     quick "memo cover minimization" test_memo_minimize;
     quick "memo cec verdicts" test_memo_cec;
     quick "memo cec verdict independent of prover order" test_memo_cec_prover_order;
+    quick "memo cec prover exception caches nothing" test_memo_cec_prover_raises;
     quick "memo lru eviction" test_memo_eviction;
     quick "tournament champion verified" test_tournament_champion_verified;
     quick "tournament dualvth candidate" test_tournament_dualvth_candidate;
