@@ -191,10 +191,7 @@ let dualvth_opt_mult4 =
   let m = Mapper.map ~verify:`Off subj (Mapper.Power act) in
   let mapped = Mapper.netlist m in
   let gates = Mapper.choices m in
-  let activity =
-    Activity.zero_delay mapped
-      ~input_probs:(Array.make (List.length (Network.inputs mapped)) 0.5)
-  in
+  let activity = Mapper.netlist_activity m ~input_probs:probs in
   Test.make ~name:"dualvth_opt_mult4"
     (Staged.stage (fun () ->
          ignore (Dualvth.optimize mapped ~gates ~activity)))

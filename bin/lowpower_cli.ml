@@ -520,7 +520,9 @@ let size_run circuit width seed slack_factor leak_budget =
     match leak_budget with
     | None -> None
     | Some f ->
-      let probe = Dualvth.optimize_mapping m ~input_probs in
+      (* Step 0, the max-drive start, is recorded before the loop. *)
+      let config = { Dualvth.default_config with max_iterations = 0 } in
+      let probe = Dualvth.optimize_mapping ~config m ~input_probs in
       Some (f *. (Dualvth.initial_step probe).Dualvth.leakage)
   in
   let r =

@@ -330,7 +330,6 @@ let optimize ?(config = default_config) ?required ?slack_factor
 
 let optimize_mapping ?config ?required ?slack_factor ?leakage_budget ?cells
     m ~input_probs =
-  let net = Mapper.netlist m in
-  let activity = Activity.zero_delay net ~input_probs in
-  optimize ?config ?required ?slack_factor ?leakage_budget ?cells net
-    ~gates:(Mapper.choices m) ~activity
+  optimize ?config ?required ?slack_factor ?leakage_budget ?cells
+    (Mapper.netlist m) ~gates:(Mapper.choices m)
+    ~activity:(Mapper.netlist_activity m ~input_probs)

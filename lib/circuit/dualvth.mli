@@ -129,6 +129,7 @@ val optimize_mapping :
   input_probs:float array ->
   result
 (** Convenience wrapper: run {!optimize} on a mapping's netlist and
-    {!Mapper.choices}, with exact zero-delay activity from
-    [input_probs].  The mapping's netlist is annotated in place (it is
-    the [result.net]). *)
+    {!Mapper.choices}, under the mapping's activity
+    ({!Mapper.netlist_activity}): a power mapping's carried activity,
+    exact zero-delay activity from [input_probs] otherwise.  The
+    mapping's netlist is annotated in place (it is the [result.net]). *)

@@ -13,6 +13,11 @@
 type t = (Network.id, float) Hashtbl.t
 (** Probability of 1, per node. *)
 
+val check_probs : Network.t -> float array -> unit
+(** Raises [Invalid_argument] unless the array has one probability per
+    primary input, each within [0,1] — the check every estimator here
+    makes on its [input_probs]. *)
+
 val exact : Network.t -> input_probs:float array -> t
 (** Exact signal probabilities via global BDDs.  [input_probs.(i)] is the
     probability that primary input [i] is 1.  Raises [Invalid_argument] on

@@ -184,17 +184,26 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
     match config with Some c -> c | None -> Dualvth.default_config
   in
   let net = Mapper.netlist m in
+  let gates = Mapper.choices m in
+  let activity = Mapper.netlist_activity m ~input_probs in
   (* structural_hash covers the mapped structure including its cell
      annotations; the fingerprint adds every knob that changes the
-     optimization — the constraint, budget, activity inputs and config
-     coefficients.  Absent options hash as nan, which no present value
-     collides with. *)
+     optimization — the constraint, budget, config coefficients and the
+     activity values sized under (power mappings of one netlist can carry
+     different activity under the same [input_probs]).  Absent options
+     hash as nan, which no present value collides with. *)
   let fopt = function Some f -> f | None -> nan in
   let key = combine k_dualvth (Network.structural_hash net) in
   let key = combine_float key (fopt required) in
   let key = combine_float key (fopt slack_factor) in
   let key = combine_float key (fopt leakage_budget) in
-  let key = Array.fold_left combine_float key input_probs in
+  let key =
+    List.fold_left
+      (fun k i ->
+        combine_float k
+          (Option.value (Hashtbl.find_opt activity i) ~default:0.0))
+      key (Network.node_ids net)
+  in
   let key =
     List.fold_left combine_float key
       [ cfg.Dualvth.params.Lowpower.Power_model.vdd;
@@ -215,7 +224,7 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
         match cells with
         | Some _ -> k (* custom ladders are folded below *)
         | None -> combine k (Hashtbl.hash cl.Techlib.cell_name))
-      key (Mapper.choices m)
+      key gates
   in
   let key =
     match cells with
@@ -230,8 +239,8 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
   in
   let compute () =
     A_dualvth
-      (Dualvth.optimize_mapping ?config ?required ?slack_factor
-         ?leakage_budget ?cells m ~input_probs)
+      (Dualvth.optimize ?config ?required ?slack_factor ?leakage_budget
+         ?cells net ~gates ~activity)
   in
   match memoize t key compute with
   | A_dualvth r ->

@@ -113,8 +113,9 @@ val dualvth :
 (** [Dualvth.optimize_mapping] on the mapping, keyed by the mapped
     netlist's [structural_hash] plus a constraint fingerprint: the
     required time / slack factor / leakage budget (absent options hash
-    distinctly), the input probabilities, every [config] coefficient and
-    the variant library.  On a hit the stored result is returned with a
+    distinctly), the {!Mapper.netlist_activity} values in node-id order
+    (the table a miss sizes under), every [config] coefficient and the
+    variant library.  On a hit the stored result is returned with a
     {e copy} of its annotated network (ids preserved, so the assignment
     list applies), leaving the cached entry immutable; note that on a
     hit the argument mapping's own netlist is {e not} annotated. *)

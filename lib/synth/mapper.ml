@@ -13,6 +13,7 @@ type mapping = {
   choice : (Network.id, chosen) Hashtbl.t; (* per instantiated match root *)
   net : Network.t;
   signal : (Network.id, Network.id) Hashtbl.t; (* subject node -> mapped node *)
+  activity : Activity.t option; (* per netlist node, for a [Power] mapping *)
 }
 
 let is_inv net i =
@@ -140,10 +141,14 @@ let map_unchecked ?(cells = Techlib.default) subject objective =
      netlist. *)
   let net = Network.create () in
   let signal = Hashtbl.create 256 in
+  (* Each netlist node implements one subject node and carries the
+     activity that node was costed with, newest first. *)
+  let carried = ref [] in
   List.iter
     (fun i ->
       let j = Network.add_input ~name:(Network.name subject i) net in
-      Hashtbl.replace signal i j)
+      Hashtbl.replace signal i j;
+      carried := (j, activity_of i) :: !carried)
     (Network.inputs subject);
   let choice = Hashtbl.create 64 in
   let rec instantiate i =
@@ -160,6 +165,7 @@ let map_unchecked ?(cells = Techlib.default) subject objective =
       in
       Hashtbl.replace signal i j;
       Hashtbl.replace choice i ch;
+      carried := (j, activity_of i) :: !carried;
       j
   in
   List.iter
@@ -187,9 +193,27 @@ let map_unchecked ?(cells = Techlib.default) subject objective =
       in
       Network.set_cap net j (Network.cap net j +. pins))
     (Network.node_ids net);
-  { subject; choice; net; signal }
+  let activity =
+    match objective with
+    | Area | Delay -> None
+    | Power _ ->
+      (* Sized to the netlist and filled in node-id order, as
+         [Activity.zero_delay]'s table on it would be: the two iterate
+         alike, so sums over them agree bit for bit too. *)
+      let act = Hashtbl.create (List.length !carried) in
+      List.iter (fun (j, a) -> Hashtbl.replace act j a) (List.rev !carried);
+      Some act
+  in
+  { subject; choice; net; signal; activity }
 
 let netlist m = m.net
+
+let netlist_activity m ~input_probs =
+  match m.activity with
+  | Some act ->
+    Probability.check_probs m.net input_probs;
+    Hashtbl.copy act
+  | None -> Activity.zero_delay m.net ~input_probs
 
 (* Cell patterns are matched structurally, so the cover computes the same
    functions by construction; [?verify] re-proves subject ~ netlist. *)
@@ -224,5 +248,4 @@ let choices m =
 let critical_delay m = Network.critical_delay m.net
 
 let switched_capacitance m ~input_probs =
-  let act = Activity.zero_delay m.net ~input_probs in
-  Activity.switched_capacitance m.net act
+  Activity.switched_capacitance m.net (netlist_activity m ~input_probs)

@@ -17,7 +17,8 @@ type objective =
   | Area
   | Delay
   | Power of Activity.t
-      (** zero-delay activity per {e subject-graph} node *)
+      (** zero-delay activity per {e subject-graph} node, carried to
+          the netlist (see {!netlist_activity}) *)
 
 type mapping
 
@@ -37,6 +38,17 @@ val netlist : mapping -> Network.t
     [delay], [cap] and [leak] annotations taken from the cell ([cap] =
     cell output capacitance + fanout pin capacitances). *)
 
+val netlist_activity : mapping -> input_probs:float array -> Activity.t
+(** Switching activity per {!netlist} node, as a fresh table.  A {!Power}
+    mapping returns the activity it was costed with, carried from each
+    subject node to the netlist node implementing it, with no BDD pass;
+    an {!Area} or {!Delay} mapping, exact [Activity.zero_delay (netlist
+    m) ~input_probs].  Costed with exact activity under the same
+    [input_probs], the two agree bit for bit: the inputs, hence the BDD
+    variable order, are the same and BDDs are canonical.  Raises
+    [Invalid_argument] unless [input_probs] has one probability in [0,1]
+    per input. *)
+
 val choices : mapping -> (Network.id * Techlib.cell) list
 (** The chosen cell per {!netlist} logic node, sorted by node id — the
     gate list a sizing/Vth optimizer ([Circuit.Dualvth]) starts from. *)
@@ -52,4 +64,6 @@ val critical_delay : mapping -> float
 (** Of the mapped netlist, using cell delays. *)
 
 val switched_capacitance : mapping -> input_probs:float array -> float
-(** Exact zero-delay switched capacitance of the mapped netlist. *)
+(** Zero-delay switched capacitance of the mapped netlist under
+    {!netlist_activity}: exact for area and delay mappings, the carried
+    activity for a power mapping. *)

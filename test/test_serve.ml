@@ -294,6 +294,31 @@ let test_memo_dualvth () =
   Alcotest.(check int) "constraint change misses" (after.Memo.misses + 1)
     s.Memo.misses
 
+(* Scaling every activity by 0.5 scales every power cost exactly, so the
+   mapper picks the same cover and the two netlists hash alike; each
+   mapping is still sized under its own carried activity, so the memo
+   must key on that activity, not on [input_probs]. *)
+let test_memo_dualvth_keys_on_activity () =
+  let subj = Subject.decompose (Circuits.array_multiplier 3).Circuits.net in
+  let probs = Probability.uniform_inputs subj in
+  let exact = Activity.zero_delay subj ~input_probs:probs in
+  let half = Hashtbl.copy exact in
+  Hashtbl.filter_map_inplace (fun _ a -> Some (0.5 *. a)) half;
+  let map act = Mapper.map ~verify:`Off subj (Mapper.Power act) in
+  let m_exact = map exact and m_half = map half in
+  Alcotest.(check bool) "same netlist hash" true
+    (Network.structural_hash (Mapper.netlist m_exact)
+    = Network.structural_hash (Mapper.netlist m_half));
+  let swcap r = (Dualvth.final_step r).Dualvth.switched_cap in
+  let direct = swcap (Dualvth.optimize_mapping (map half) ~input_probs:probs) in
+  let memo = Memo.create () in
+  let r_exact = Memo.dualvth memo m_exact ~input_probs:probs in
+  let r_half = Memo.dualvth memo m_half ~input_probs:probs in
+  Alcotest.(check int) "both miss" 2 (Memo.stats memo).Memo.misses;
+  check_close ~eps:0.0 "memoized = direct" direct (swcap r_half);
+  check_close ~eps:0.0 "half the exact mapping's" (0.5 *. swcap r_exact)
+    (swcap r_half)
+
 let test_tournament_rejects_broken_strategy () =
   let net = mk_net 22 in
   let break_one n =
@@ -509,6 +534,8 @@ let suite =
     quick "tournament champion verified" test_tournament_champion_verified;
     quick "tournament dualvth candidate" test_tournament_dualvth_candidate;
     quick "memo dualvth artifacts" test_memo_dualvth;
+    quick "memo dualvth keys on carried activity"
+      test_memo_dualvth_keys_on_activity;
     quick "tournament rejects broken strategy"
       test_tournament_rejects_broken_strategy;
     quick "tournament trace scoring" test_tournament_trace_scoring;

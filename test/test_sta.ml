@@ -372,6 +372,56 @@ let test_dualvth_deterministic () =
     (Dualvth.final_step a).Dualvth.leakage
     (Dualvth.final_step b).Dualvth.leakage
 
+(* A power mapping costed with exact activity carries that activity to
+   its netlist: the carried table is the netlist's own exact activity,
+   bit for bit, so sizing under it is sizing under a second BDD pass. *)
+let test_carried_activity_exact =
+  prop ~count:100 "power mapping carries exact netlist activity"
+    QCheck2.Gen.(int_bound 10_000)
+    (fun seed ->
+      let r = Lowpower.Rng.create (seed + 7) in
+      let net = gen_net seed ~gates:(15 + Lowpower.Rng.int r 50) in
+      let subj = Subject.decompose net in
+      let input_probs =
+        Array.init (List.length (Network.inputs subj)) (fun _ ->
+            Lowpower.Rng.float r 1.0)
+      in
+      let act = Activity.zero_delay subj ~input_probs in
+      let remap () = Mapper.map ~verify:`Off subj (Mapper.Power act) in
+      let m = remap () and m2 = remap () in
+      let mapped = Mapper.netlist m2 in
+      let fresh = Activity.zero_delay mapped ~input_probs in
+      let carried = Mapper.netlist_activity m ~input_probs in
+      let bits = Int64.bits_of_float in
+      if
+        not
+          (Hashtbl.length carried = Hashtbl.length fresh
+          && Hashtbl.fold
+               (fun i a ok ->
+                 ok
+                 && match Hashtbl.find_opt carried i with
+                    | Some b -> bits a = bits b
+                    | None -> false)
+               fresh true)
+      then Alcotest.fail "carried activity differs from the netlist's own";
+      if
+        bits (Mapper.switched_capacitance m ~input_probs)
+        <> bits (Activity.switched_capacitance mapped fresh)
+      then Alcotest.fail "switched capacitance differs";
+      let a = Dualvth.optimize_mapping m ~input_probs in
+      let b =
+        Dualvth.optimize mapped ~gates:(Mapper.choices m2) ~activity:fresh
+      in
+      let names r =
+        List.map
+          (fun (i, (c : Techlib.cell)) -> (i, c.Techlib.cell_name))
+          r.Dualvth.assignment
+      in
+      let power r = P.total (Dualvth.final_step r).Dualvth.power in
+      bits (power a) = bits (power b)
+      && a.Dualvth.moves = b.Dualvth.moves
+      && names a = names b)
+
 let suite =
   [
     test_incremental_matches_full;
@@ -389,4 +439,5 @@ let suite =
     quick "dualvth Asis recovery under tight constraint"
       test_dualvth_asis_recovery;
     quick "dualvth deterministic" test_dualvth_deterministic;
+    test_carried_activity_exact;
   ]

@@ -125,6 +125,26 @@ let test_map_power_beats_area_on_power () =
     (Mapper.switched_capacitance mp ~input_probs
     <= Mapper.switched_capacitance ma ~input_probs +. 1e-9)
 
+(* The carried activity needs no BDD pass, but the probabilities it
+   stands for are still checked. *)
+let test_power_mapping_checks_input_probs () =
+  let subj = Subject.decompose (Circuits.ripple_adder 3).Circuits.net in
+  let input_probs = Probability.uniform_inputs subj in
+  let act = Activity.zero_delay subj ~input_probs in
+  let m = Mapper.map subj (Mapper.Power act) in
+  let short = Array.sub input_probs 1 (Array.length input_probs - 1) in
+  let outside = Array.copy input_probs in
+  outside.(0) <- 1.5;
+  List.iter
+    (fun (name, input_probs) ->
+      expect_invalid_arg ("netlist activity, " ^ name) (fun () ->
+          Mapper.netlist_activity m ~input_probs);
+      expect_invalid_arg ("switched capacitance, " ^ name) (fun () ->
+          Mapper.switched_capacitance m ~input_probs);
+      expect_invalid_arg ("dualvth, " ^ name) (fun () ->
+          Dualvth.optimize_mapping m ~input_probs))
+    [ ("arity mismatch", short); ("probability outside [0,1]", outside) ]
+
 let test_map_uses_complex_cells () =
   let net = (Circuits.comparator 5).Circuits.net in
   let subj = Subject.decompose net in
@@ -564,6 +584,8 @@ let suite =
     quick "power mapping equivalent" test_map_power_equivalent;
     quick "objectives optimize their own metric" test_map_area_beats_delay_on_area;
     quick "power mapping wins switched capacitance" test_map_power_beats_area_on_power;
+    quick "power mapping checks input_probs"
+      test_power_mapping_checks_input_probs;
     quick "mapper uses complex cells" test_map_uses_complex_cells;
     quick "mapper rejects raw networks" test_map_rejects_non_subject;
     quick "mapper rejects inadequate library" test_map_custom_library_failure;
