@@ -58,8 +58,7 @@ let pairs =
     ("actsim_incremental_1k", "actsim_full_1k");
     ("prob_simulated_mult4_4k_bitsim", "prob_simulated_mult4_4k");
     ("seq_sim_counter16_1k_bitsim", "seq_sim_counter16_1k");
-    ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored");
-    ("batch_1000_mixed_serial", "batch_1000_mixed") ]
+    ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored") ]
 
 (* Sub-percent ratios are the headline of incremental variants; two
    decimals would print them as 0.00x. *)

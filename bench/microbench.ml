@@ -344,39 +344,12 @@ let tests =
     prob_sim_scalar; prob_sim_bitsim; seq_sim_scalar; seq_sim_bitsim;
     sat_pigeon; cec_adder_vs_factored; cec_adder_vs_factored_incremental ]
 
-(* The batch service is measured one-shot (wall clock over the whole
-   1000-job mixed workload) instead of through Bechamel: a single run
-   takes seconds — far past the sampling quota — and the number of
-   interest is whole-batch throughput, 4 worker domains vs 1.  The
-   workload is built once outside the timed region; each run gets a
-   fresh content-hash cache, so the hit rate is the workload's own
-   duplication, not leftovers from the previous run.  On a single-core
-   host the 4-domain entry is expected to be no faster (oversubscription
-   costs the stealing/backoff overhead); the _serial sibling makes that
-   ratio explicit either way. *)
-let batch_entries () =
-  let jobs = Batch.mixed_workload ~seed:42 ~n:1000 () in
-  let timed domains =
-    let t0 = Unix.gettimeofday () in
-    let report = Batch.run ~domains jobs in
-    ((Unix.gettimeofday () -. t0) *. 1e9, report)
-  in
-  let ns4, r4 = timed 4 in
-  let ns1, r1 = timed 1 in
-  let describe name ns (r : Batch.report) =
-    let m = r.Batch.memo in
-    Printf.printf "  %-32s %14.1f ns/run (%.1f jobs/s, cache %d/%d hits)\n"
-      name ns r.Batch.jobs_per_second m.Memo.hits
-      (m.Memo.hits + m.Memo.misses)
-  in
-  describe "batch_1000_mixed" ns4 r4;
-  describe "batch_1000_mixed_serial" ns1 r1;
-  [ ("batch_1000_mixed", ns4); ("batch_1000_mixed_serial", ns1) ]
-
-(* The rewrite search is likewise one-shot: a full run over the
-   dense-coefficient FIR-8 costs and SAT-proves candidates for most of a
-   second, and whole-search wall clock is the number of interest.  Fresh
-   memo, fixed search seed, so the search itself is deterministic. *)
+(* The rewrite search is measured one-shot (wall clock over one run)
+   instead of through Bechamel: a full run over the dense-coefficient
+   FIR-8 costs and SAT-proves candidates for most of a second, far past
+   the sampling quota, and whole-search wall clock is the number of
+   interest.  Fresh memo, fixed search seed, so the search itself is
+   deterministic. *)
 let rewrite_entries () =
   let dfg =
     Gen_dfg.fir ~taps:8 ~coeffs:[ 127; 63; 119; 123; 125; 111; 95; 87 ]
@@ -437,6 +410,6 @@ let run () =
           results [])
       tests
   in
-  let estimates = estimates @ batch_entries () @ rewrite_entries () in
+  let estimates = estimates @ rewrite_entries () in
   write_json "BENCH.json" estimates;
   print_endline "  (written to BENCH.json)"

@@ -452,6 +452,8 @@ let annotate_cmd =
 
 let tournament_run circuit width seed trace_length measured =
   with_input (fun () ->
+      if trace_length < 0 then
+        invalid_arg "tournament: --trace-length must be >= 0";
       let net = build_circuit circuit width seed in
       let nins = List.length (Network.inputs net) in
       ( net,
@@ -687,9 +689,11 @@ let rewrite_cmd =
 (* Job-list lines: "<kind> <int>" with kind one of estimate / tournament /
    verify / map / fsm; the int seeds a random circuit (fsm: state bits).
    '#' starts a comment.  Without --jobs, a seeded mixed workload is
-   generated. *)
+   generated.  A malformed line raises [Invalid_argument] naming its
+   file:line, which [with_input] reports as a usage error. *)
 let parse_jobs path =
   let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let jobs = ref [] in
   let line_no = ref 0 in
   (try
@@ -710,7 +714,8 @@ let parse_jobs path =
            match int_of_string_opt arg with
            | Some s -> s
            | None ->
-             failwith (Printf.sprintf "%s:%d: bad integer %S" path !line_no arg)
+             invalid_arg
+               (Printf.sprintf "%s:%d: bad integer %S" path !line_no arg)
          in
          let label = Printf.sprintf "%s-%s-%d" kind arg !line_no in
          let r = Lowpower.Rng.create seed in
@@ -733,22 +738,26 @@ let parse_jobs path =
              Batch.Encode_fsm
                { label; stg = Gen_fsm.counter ~bits:(max 2 (min 4 seed)) }
            | other ->
-             failwith (Printf.sprintf "%s:%d: unknown job kind %S" path
-                         !line_no other)
+             invalid_arg
+               (Printf.sprintf "%s:%d: unknown job kind %S" path !line_no
+                  other)
          in
          jobs := job :: !jobs
-       | _ -> failwith (Printf.sprintf "%s:%d: expected '<kind> <int>'" path
-                          !line_no)
+       | _ ->
+         invalid_arg
+           (Printf.sprintf "%s:%d: expected '<kind> <int>'" path !line_no)
      done
-   with End_of_file -> close_in ic);
+   with End_of_file -> ());
   Array.of_list (List.rev !jobs)
 
 let batch_run jobs_file n seed domains verbose =
-  let jobs =
-    match jobs_file with
-    | Some path -> parse_jobs path
-    | None -> Batch.mixed_workload ~seed ~n ()
-  in
+  with_input (fun () ->
+      match jobs_file with
+      | Some path -> parse_jobs path
+      | None ->
+        if n < 0 then invalid_arg "batch: --count must be >= 0";
+        Batch.mixed_workload ~seed ~n ())
+  @@ fun jobs ->
   let report = Batch.run ?domains jobs in
   if verbose then
     Array.iter
@@ -799,7 +808,7 @@ let batch_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Print one line per job.")
   in
-  Cmd.v
+  input_cmd
     (Cmd.info "batch"
        ~doc:"Multicore batch service: pool + content-hash cache + tournaments")
     Term.(const batch_run $ jobs_file $ n $ batch_seed $ domains $ verbose)

@@ -135,9 +135,6 @@ let set_delay t i d = (get t i).ndelay <- d
 let set_cap t i c = (get t i).ncap <- c
 let set_leak t i l = (get t i).nleak <- l
 
-let total_leakage t =
-  Hashtbl.fold (fun _ n acc -> acc +. n.nleak) t.nodes 0.0
-
 let input_index t i =
   let rec find k = function
     | [] -> raise Not_found

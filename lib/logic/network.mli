@@ -128,9 +128,6 @@ val total_cap : t -> float
 (** Sum of node capacitances (inputs included: their cap models the input
     pin loading). *)
 
-val total_leakage : t -> float
-(** Sum of node leakage currents, amperes (0.0 on unannotated networks). *)
-
 val levels : t -> (id, int) Hashtbl.t
 (** Unit-delay logic depth of every node (inputs are level 0).  Cached
     until the next structural edit; treat the table as read-only. *)

@@ -135,7 +135,7 @@ let run ?domains ?memo jobs =
 (* Benchmark workload: seeded, shard-independent (Rng.stream per job
    index), with a deliberate fraction of repeated networks so the
    content-hash cache sees real traffic.  Shapes are kept modest — the
-   point of the 1000-job benchmark is scheduling and caching behavior,
+   point of the batch benchmark is scheduling and caching behavior,
    not single-job heroics. *)
 let mixed_workload ?(seed = 1) ~n () =
   let root = Lowpower.Rng.create seed in

@@ -1,5 +1,6 @@
 (** Batch synthesis service: heterogeneous job lists over the
-    work-stealing {!Pool} with a shared {!Memo} cache.
+    work-stealing {!Pool} with a shared {!Memo} cache (BDD cone
+    probabilities, CEC verdicts and measured-activity annotations).
 
     A job is a self-contained unit of toolkit work — estimate a network's
     output statistics, race an optimization tournament, prove a pair
@@ -16,8 +17,9 @@ type job =
           {!Memo.cone_probabilities}) plus estimated switched
           capacitance *)
   | Synthesize of { label : string; net : Network.t; trace : Stimulus.t option }
-      (** a full {!Tournament.run}; [trace] switches scoring to measured
-          toggles *)
+      (** a full {!Tournament.run} over its default roster; [trace]
+          switches scoring to measured toggles and adds the [measured]
+          strategy *)
   | Verify of { label : string; left : Network.t; right : Network.t }
       (** [Cec.check] through {!Memo.check} *)
   | Map of { label : string; net : Network.t; power : bool }
@@ -25,7 +27,8 @@ type job =
           [power], else [Area]); the pass-level [~verify] safety net is
           left at {!Verify.default} *)
   | Encode_fsm of { label : string; stg : Stg.t }
-      (** a {!Tournament.run_fsm} encoding race *)
+      (** a {!Tournament.run_fsm} race of the default encodings (binary,
+          Gray, low-power) *)
 
 val label : job -> string
 
@@ -64,10 +67,11 @@ val run : ?domains:int -> ?memo:Memo.t -> job array -> report
     run with that exception, per {!Pool.map}. *)
 
 val mixed_workload : ?seed:int -> n:int -> unit -> job array
-(** The benchmark workload: [n] jobs in fixed proportions (≈40% estimate,
-    25% tournament — alternating estimated and trace-measured scoring —
-    15% verify of a network against its own NAND2/INV decomposition, 10%
-    map, 10% FSM encode) over seeded random circuits, with roughly a
-    quarter of the networks repeated across jobs so the content-hash
-    cache has real hits to serve.  Deterministic in [seed] (default 1)
-    via {!Lowpower.Rng.stream} sharding. *)
+(** The batch benchmark workload (the end-to-end [batch_mixed]
+    benchmark runs [n] = 300): [n] jobs in fixed proportions (≈40%
+    estimate, 25% tournament — alternating estimated and trace-measured
+    scoring — 15% verify of a network against its own NAND2/INV
+    decomposition, 10% map, 10% FSM encode) over seeded random circuits,
+    with roughly a quarter of the networks repeated across jobs so the
+    content-hash cache has real hits to serve.  Deterministic in [seed]
+    (default 1) via {!Lowpower.Rng.stream} sharding. *)

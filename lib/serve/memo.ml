@@ -5,8 +5,8 @@
 
 (* Same SplitMix64-style finisher as Network.structural_hash (constants
    truncated to OCaml's 63-bit int); kept local because keys mix
-   repo-level ingredients (kind tags, floats, packed cube words) the
-   network hash never sees. *)
+   repo-level ingredients (kind tags, floats, trace and DFG
+   fingerprints) the network hash never sees. *)
 let mix z =
   let z = (z * 0x1E3779B97F4A7C15) + 0x165667B19E3779F9 in
   let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
@@ -18,11 +18,8 @@ let combine_float h f = combine h (Int64.to_int (Int64.bits_of_float f) land max
 
 type artifact =
   | A_compiled of Compiled.t
-  | A_bitsim of Bitsim.t
   | A_cone of (string * float) array
-  | A_cover of Cover.t
   | A_equivalent
-  | A_dualvth of Dualvth.result
   | A_activity of float
   | A_annotation of Annotation.t
 
@@ -118,24 +115,15 @@ let memoize t key compute =
 (* Kind tags keep the artifact spaces disjoint even for identical
    ingredient hashes. *)
 let k_compiled = 1
-and k_bitsim = 2
-and k_cone = 3
-and k_cover = 4
-and k_cec = 5
-and k_dualvth = 6
-and k_activity = 7
-and k_annotation = 8
+and k_cone = 2
+and k_cec = 3
+and k_activity = 4
+and k_annotation = 5
 
 let compiled t net =
   let key = combine k_compiled (Network.structural_hash net) in
   match memoize t key (fun () -> A_compiled (Compiled.of_network net)) with
   | A_compiled c -> c
-  | _ -> assert false
-
-let bitsim t net =
-  let key = combine k_bitsim (Network.structural_hash net) in
-  match memoize t key (fun () -> A_bitsim (Bitsim.of_network net)) with
-  | A_bitsim b -> b
   | _ -> assert false
 
 let cone_probabilities t net ~input_probs =
@@ -160,95 +148,6 @@ let cone_probabilities t net ~input_probs =
     A_cone (Array.of_list (List.map2 (fun (name, _) p -> (name, p)) outputs probs))
   in
   match memoize t key compute with A_cone a -> a | _ -> assert false
-
-let hash_cover h c =
-  let h = combine h (Cover.num_vars c) in
-  List.fold_left
-    (fun h cube -> Array.fold_left combine h (Cube.unsafe_words cube))
-    h (Cover.cubes c)
-
-let minimize t ?dc f =
-  (match dc with
-  | Some d when Cover.num_vars d <> Cover.num_vars f ->
-    invalid_arg "Memo.minimize: dc variable count mismatch"
-  | _ -> ());
-  let key = hash_cover k_cover f in
-  let key = match dc with Some d -> hash_cover (combine key 7) d | None -> key in
-  match memoize t key (fun () -> A_cover (Cover.minimize ?dc f)) with
-  | A_cover c -> c
-  | _ -> assert false
-
-let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
-    ~input_probs =
-  let cfg =
-    match config with Some c -> c | None -> Dualvth.default_config
-  in
-  let net = Mapper.netlist m in
-  let gates = Mapper.choices m in
-  let activity = Mapper.netlist_activity m ~input_probs in
-  (* structural_hash covers the mapped structure including its cell
-     annotations; the fingerprint adds every knob that changes the
-     optimization — the constraint, budget, config coefficients and the
-     activity values sized under (power mappings of one netlist can carry
-     different activity under the same [input_probs]).  Absent options
-     hash as nan, which no present value collides with. *)
-  let fopt = function Some f -> f | None -> nan in
-  let key = combine k_dualvth (Network.structural_hash net) in
-  let key = combine_float key (fopt required) in
-  let key = combine_float key (fopt slack_factor) in
-  let key = combine_float key (fopt leakage_budget) in
-  let key =
-    List.fold_left
-      (fun k i ->
-        combine_float k
-          (Option.value (Hashtbl.find_opt activity i) ~default:0.0))
-      key (Network.node_ids net)
-  in
-  let key =
-    List.fold_left combine_float key
-      [ cfg.Dualvth.params.Lowpower.Power_model.vdd;
-        cfg.Dualvth.params.Lowpower.Power_model.freq;
-        cfg.Dualvth.params.Lowpower.Power_model.qsc;
-        cfg.Dualvth.unit_cap; cfg.Dualvth.output_load;
-        cfg.Dualvth.drive_gain; cfg.Dualvth.gamma; cfg.Dualvth.epsilon;
-        cfg.Dualvth.tol ]
-  in
-  let key = combine key cfg.Dualvth.max_iterations in
-  let key =
-    combine key
-      (match cfg.Dualvth.start with Dualvth.Max_drive -> 0 | Dualvth.Asis -> 1)
-  in
-  let key =
-    List.fold_left
-      (fun k (_, (cl : Techlib.cell)) ->
-        match cells with
-        | Some _ -> k (* custom ladders are folded below *)
-        | None -> combine k (Hashtbl.hash cl.Techlib.cell_name))
-      key gates
-  in
-  let key =
-    match cells with
-    | None -> key
-    | Some cs ->
-      List.fold_left
-        (fun k (cl : Techlib.cell) ->
-          let k = combine k (Hashtbl.hash cl.Techlib.cell_name) in
-          let k = combine_float k cl.Techlib.drive in
-          combine_float k cl.Techlib.leak)
-        key cs
-  in
-  let compute () =
-    A_dualvth
-      (Dualvth.optimize ?config ?required ?slack_factor ?leakage_budget
-         ?cells net ~gates ~activity)
-  in
-  match memoize t key compute with
-  | A_dualvth r ->
-    (* The cached result's network must not be shared mutably across
-       callers; hand each one its own copy (ids are preserved, so the
-       assignment list stays valid). *)
-    { r with Dualvth.net = Network.copy r.Dualvth.net }
-  | _ -> assert false
 
 let dfg_activity t dfg ~fingerprint compute =
   let key =

@@ -3,11 +3,12 @@
     Jobs in a mixed workload keep meeting the same circuit: an estimate
     job compiles the network the tournament just raced, a verify job
     re-proves a pair the previous batch already settled.  This store
-    caches the four expensive derived artifacts — compiled forms
-    ({!Compiled.t} and {!Bitsim.t}), BDD cone results (exact per-output
-    signal probabilities), espresso cover minimizations, and proved CEC
-    equivalences — keyed by {!Network.structural_hash} (plus an option
-    fingerprint: input probabilities, don't-care content, operand pair).
+    caches five derived artifacts — compiled forms ({!Compiled.t}), BDD
+    cone results (exact per-output signal probabilities), proved CEC
+    equivalences, measured-activity annotations and datapath activity
+    costs — keyed by {!Network.structural_hash} or [Dfg.structural_hash]
+    (plus a fingerprint: input probabilities, operand pair, trace
+    content, cost model).
 
     Keys are pure 63-bit content hashes; entries store no witness of the
     original network, so two distinct networks colliding on the hash
@@ -24,7 +25,7 @@
 
     A cache {e hit} returns the stored artifact, which is bit-identical
     to what a cold recompute would produce (deterministic constructors);
-    the test suite checks this for all four artifact kinds. *)
+    the test suite checks this for every artifact kind. *)
 
 type t
 
@@ -46,10 +47,6 @@ val stats : t -> stats
 val compiled : t -> Network.t -> Compiled.t
 (** The flat-array snapshot [Compiled.of_network]. *)
 
-val bitsim : t -> Network.t -> Bitsim.t
-(** The word-parallel engine over the {!compiled} snapshot (a hit on the
-    bitsim entry does not touch the compiled entry). *)
-
 val cone_probabilities :
   t -> Network.t -> input_probs:float array -> (string * float) array
 (** Exact per-output signal probabilities from one build of the global
@@ -59,11 +56,6 @@ val cone_probabilities :
     network under different input statistics occupies distinct entries.
     Each miss builds a private manager — nothing BDD-managed is shared
     across domains. *)
-
-val minimize : t -> ?dc:Cover.t -> Cover.t -> Cover.t
-(** [Cover.minimize ?dc f], keyed by the packed content of [f] (and [dc]
-    when present).  Raises [Invalid_argument] if [dc] is over a different
-    variable count. *)
 
 val check : t -> Network.t -> Network.t -> Cec.outcome
 (** [Cec.check a b], keyed by the ordered hash pair.  Only [Equivalent]
@@ -99,23 +91,3 @@ val activity : t -> Network.t -> trace:Stimulus.t -> Annotation.t
     directly; [Annotation.switched_capacitance] of a hit is bit-identical
     to a cold measurement ([Tournament.measured_score] relies on this to
     make memoized and fresh scores interchangeable). *)
-
-val dualvth :
-  t ->
-  ?config:Dualvth.config ->
-  ?required:float ->
-  ?slack_factor:float ->
-  ?leakage_budget:float ->
-  ?cells:Techlib.cell list ->
-  Mapper.mapping ->
-  input_probs:float array ->
-  Dualvth.result
-(** [Dualvth.optimize_mapping] on the mapping, keyed by the mapped
-    netlist's [structural_hash] plus a constraint fingerprint: the
-    required time / slack factor / leakage budget (absent options hash
-    distinctly), the {!Mapper.netlist_activity} values in node-id order
-    (the table a miss sizes under), every [config] coefficient and the
-    variant library.  On a hit the stored result is returned with a
-    {e copy} of its annotated network (ids preserved, so the assignment
-    list applies), leaving the cached entry immutable; note that on a
-    hit the argument mapping's own netlist is {e not} annotated. *)

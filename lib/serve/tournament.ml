@@ -20,30 +20,7 @@ type promotion = {
   sat : Solver.stats;
 }
 
-(* Re-minimize every narrow local function through the two-level engine;
-   unused fanins left behind by the minimizer are trimmed by cleanup. *)
-let espresso_local ?memo net =
-  List.iter
-    (fun id ->
-      if not (Network.is_input net id) then begin
-        let fanins = Network.fanins net id in
-        let k = List.length fanins in
-        if k >= 1 && k <= 8 then begin
-          let tt = Truth_table.of_expr k (Network.func net id) in
-          let cover = Cover.of_truth_table tt in
-          let minimized =
-            match memo with
-            | Some m -> Memo.minimize m cover
-            | None -> Cover.minimize cover
-          in
-          Network.replace_func net id (Cover.to_expr minimized) fanins
-        end
-      end)
-    (Network.node_ids net);
-  ignore (Cleanup.run net);
-  net
-
-let default_strategies ?memo ?input_probs ?trace net =
+let default_strategies ?input_probs ?trace net =
   let probs =
     match input_probs with
     | Some p -> p
@@ -70,14 +47,6 @@ let default_strategies ?memo ?input_probs ?trace net =
   [
     { s_name = "source"; transform = (fun n -> n) };
     {
-      s_name = "cleanup";
-      transform =
-        (fun n ->
-          ignore (Cleanup.run n);
-          n);
-    };
-    { s_name = "espresso"; transform = espresso_local ?memo };
-    {
       s_name = "dontcare-area";
       transform =
         (fun n ->
@@ -95,55 +64,14 @@ let default_strategies ?memo ?input_probs ?trace net =
           ignore (Cleanup.run n);
           n);
     };
-    { s_name = "subject"; transform = Subject.decompose };
-    {
-      s_name = "subject-power";
-      transform = (fun n -> Subject.decompose_for_power n ~input_probs:probs);
-    };
-    {
-      s_name = "dualvth";
-      transform =
-        (fun n ->
-          (* Map to cells, then size + assign Vth against the mapped
-             netlist's own critical delay.  Infeasible timing fails the
-             candidate — that is the feasibility gate before promotion;
-             the SAT check below covers function like everyone else. *)
-          let subj = Subject.decompose n in
-          let act = Activity.zero_delay subj ~input_probs:probs in
-          let m = Mapper.map ~verify:`Off subj (Mapper.Power act) in
-          let r =
-            match memo with
-            | Some mm -> Memo.dualvth mm m ~input_probs:probs
-            | None -> Dualvth.optimize_mapping m ~input_probs:probs
-          in
-          let ws = (Dualvth.final_step r).Dualvth.worst_slack in
-          if ws < -1e-9 then
-            failwith
-              (Printf.sprintf "dualvth: timing infeasible (worst slack %g)"
-                 ws);
-          r.Dualvth.net);
-    };
   ]
   @ measured
-
-(* Leakage enters every score as equivalent switched capacitance: a
-   score of S units means switching power 0.5 * unit_cap * S * V^2 * f
-   at the default operating point, so leakage watts (I * V) divide back
-   by that factor.  Networks without leak annotations — every strategy
-   except dualvth — contribute exactly 0 and score as before. *)
-let leak_units net =
-  let p = Lowpower.Power_model.default_params in
-  let unit_cap = 20.0e-15 in
-  Network.total_leakage net
-  /. (0.5 *. unit_cap *. p.Lowpower.Power_model.vdd
-      *. p.Lowpower.Power_model.freq)
 
 (* Capacitance-weighted toggles per cycle, measured over the trace.  The
    scalar path mirrors Bitsim.count_transitions (settled zero-delay
    values, initialization uncharged, input toggles counted) and is what
    the LOWPOWER_BITSIM=off configuration exercises. *)
 let measured_score ?memo net trace =
-  let leak = leak_units net in
   let cycles = List.length trace in
   let denom = float_of_int (max 1 (cycles - 1)) in
   if Bitsim.enabled () then begin
@@ -152,7 +80,7 @@ let measured_score ?memo net trace =
       (* Annotation.switched_capacitance sums cap * count in the same
          ascending-id order over the same measured counts, so a cache hit
          scores bit-identically to the direct path below. *)
-      Annotation.switched_capacitance (Memo.activity m net ~trace) +. leak
+      Annotation.switched_capacitance (Memo.activity m net ~trace)
     | None ->
       let bs = Bitsim.of_network net in
       let counts = Bitsim.count_transitions bs trace in
@@ -161,7 +89,7 @@ let measured_score ?memo net trace =
       Array.iteri
         (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
         counts;
-      (!acc /. denom) +. leak
+      !acc /. denom
   end
   else begin
     let c =
@@ -184,12 +112,12 @@ let measured_score ?memo net trace =
           done;
           Array.blit cur 0 prev 0 size)
         rest);
-    (!acc /. denom) +. leak
+    !acc /. denom
   end
 
 let estimated_score net ~input_probs =
   let act = Activity.zero_delay ~exact:false net ~input_probs in
-  Activity.switched_capacitance net act +. leak_units net
+  Activity.switched_capacitance net act
 
 let run ?(name = "circuit") ?strategies ?input_probs ?trace ?memo net =
   let probs =
@@ -200,7 +128,7 @@ let run ?(name = "circuit") ?strategies ?input_probs ?trace ?memo net =
   let roster =
     match strategies with
     | Some s -> s
-    | None -> default_strategies ?memo ~input_probs:probs ?trace net
+    | None -> default_strategies ~input_probs:probs ?trace net
   in
   let score n =
     match trace with
@@ -300,7 +228,6 @@ let default_encodings stg =
   [
     ("binary", Encode.binary ~num_states);
     ("gray", Encode.gray ~num_states);
-    ("one-hot", Encode.one_hot ~num_states);
     ("low-power", Encode.low_power stg dist);
   ]
 

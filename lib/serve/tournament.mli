@@ -1,21 +1,18 @@
 (** Optimization tournaments: race synthesis strategies, promote a
     SAT-verified champion.
 
-    The survey's low-power passes (don't-care resimplification, two-level
-    re-minimization, activity-aware decomposition, sizing/dual-Vth) each
-    win on some circuits and lose on others; a tournament makes the
-    choice empirical per circuit.  Every strategy transforms a private
-    copy of the source network, every surviving candidate is scored by
-    estimated total power in switched-capacitance units — zero-delay
-    activity from signal probabilities under the independence estimate by
-    default, measured {!Bitsim.count_transitions} toggles when a [trace]
-    is supplied, in either case plus the net's annotated leakage
-    converted to equivalent capacitance units (zero on unannotated
-    networks) — and {e every} scored candidate is checked equivalent to
-    the source through one shared incremental {!Cec.session} — so a
-    promoted champion is always SAT-verified, and a strategy that
-    miscompiles is refuted with a counterexample instead of winning on a
-    bogus score.
+    The survey's low-power passes (area- and power-directed don't-care
+    resimplification, measured-activity resynthesis) each win on some
+    circuits and lose on others; a tournament makes the choice empirical
+    per circuit.  Every strategy transforms a private copy of the source
+    network, every surviving candidate is scored by switched capacitance
+    per cycle — zero-delay activity from signal probabilities under the
+    independence estimate by default, measured
+    {!Bitsim.count_transitions} toggles when a [trace] is supplied — and
+    {e every} scored candidate is checked equivalent to the source
+    through one shared incremental {!Cec.session} — so a promoted
+    champion is always SAT-verified, and a strategy that miscompiles is
+    refuted with a counterexample instead of winning on a bogus score.
 
     The promotion record carries the full field (scores, margins,
     verdicts) plus the SAT effort of the session: its solver's counters
@@ -29,26 +26,26 @@ type strategy = {
 }
 
 val default_strategies :
-  ?memo:Memo.t -> ?input_probs:float array -> ?trace:Stimulus.t ->
-  Network.t -> strategy list
+  ?input_probs:float array -> ?trace:Stimulus.t -> Network.t ->
+  strategy list
 (** The stock roster for a given source network: [source] (identity —
-    guarantees a verified candidate always exists), [cleanup],
-    [espresso] (per-node two-level re-minimization of every local
-    function with at most 8 fanins, through [memo] when given),
-    [dontcare-area], [dontcare-power] ({!Dontcare} policies; internal
-    re-verification off — the tournament SAT-checks the result),
-    [subject] and [subject-power] (NAND2/INV decomposition, plain and
-    activity-ordered), and [dualvth] (power-objective technology mapping
-    followed by {!Dualvth.optimize_mapping} slack-driven sizing +
-    high-Vth assignment; the candidate {e fails} — and so can never be
-    promoted — if the sized netlist misses its timing constraint, and
-    its leakage is part of its score).  With [trace], a ninth strategy
-    [measured] joins: {!Resynth.measured} don't-care resynthesis scored
-    by toggles measured over that trace through the incremental
-    {!Actsim} engine — the simulate → annotate → re-synthesize loop as a
-    tournament entrant, SAT-verified like every other candidate.
-    [input_probs] (default all 0.5) feeds the power-aware strategies and
-    must match the source input count. *)
+    guarantees a verified candidate always exists), then
+    [dontcare-area] and [dontcare-power] ({!Dontcare} policies;
+    internal re-verification off — the tournament SAT-checks the
+    result).  With [trace], a fourth strategy [measured] joins:
+    {!Resynth.measured} don't-care resynthesis scored by toggles
+    measured over that trace through the incremental {!Actsim} engine —
+    the simulate → annotate → re-synthesize loop as a tournament
+    entrant, SAT-verified like every other candidate.  [input_probs]
+    (default all 0.5) feeds [dontcare-power] and must match the source
+    input count.
+
+    Only entries that can win are raced.  NAND2/INV decomposition
+    ({!Subject}) and mapping with dual-Vth sizing add nodes and cell
+    capacitance, and scored over twice the source on every circuit
+    checked; node cleanup and per-node two-level re-minimization at best
+    tie it, and the source wins ties by roster order.  Pass such passes
+    through [~strategies] to race them anyway. *)
 
 type verdict =
   | Verified  (** SAT-proved equivalent to the source *)
@@ -59,8 +56,7 @@ type verdict =
 type candidate = {
   c_strategy : string;
   score : float;
-      (** estimated switched capacitance + leakage-equivalent units;
-          [infinity] on [Failed] *)
+      (** switched capacitance per cycle; [infinity] on [Failed] *)
   literals : int;  (** {!Network.literal_count}; [0] on [Failed] *)
   c_verdict : verdict;
 }
@@ -91,15 +87,17 @@ val run :
     labels the promotion record (default ["circuit"]).  With [trace],
     candidates are scored by capacitance-weighted toggle counts measured
     over the vector stream (per cycle) and the default roster gains the
-    [measured] strategy; otherwise by exact zero-delay activity under
-    [input_probs].  With [memo], measured annotations, espresso covers
-    and proved equivalences are served from / inserted into the shared
-    cache (a cached equivalence skips the session query entirely; a
-    refuted candidate is re-checked every time; a cached annotation
-    scores bit-identically to a fresh measurement).  The
-    source is never mutated.  Raises [Invalid_argument] if no strategy
-    produces a verified candidate (an all-refuted roster — impossible
-    with the default roster's [source] entry). *)
+    [measured] strategy; otherwise by zero-delay activity under
+    [input_probs] (the independence estimate).  With [memo], proved
+    equivalences ({!Memo.check_with}) and measured annotations
+    ({!Memo.activity}; {!Memo.compiled} forms when {!Bitsim.enabled} is
+    false) are served from / inserted into the shared cache
+    (a cached equivalence skips the session query entirely; a refuted
+    candidate is re-checked every time; a cached annotation scores
+    bit-identically to a fresh measurement).  The source is never
+    mutated.  Raises [Invalid_argument] if no strategy produces a
+    verified candidate (an all-refuted roster — impossible with the
+    default roster's [source] entry). *)
 
 (** {1 FSM encoding tournaments}
 
@@ -136,11 +134,14 @@ val run_fsm :
   ?verify_cycles:int ->
   Stg.t ->
   fsm_promotion
-(** Race encodings (default: [binary], [gray], [one-hot], [low-power])
-    for the STG: synthesize each, score by exact steady-state switched
+(** Race encodings (default: [binary], [gray], [low-power]) for the
+    STG: synthesize each, score by exact steady-state switched
     capacitance under [input_bit_probs] (default all 0.5), co-simulate
     each successful candidate for [verify_cycles] (default 256) cycles,
     and promote the lowest-capacitance verified one.  Encodings whose
-    synthesis or analysis raises (e.g. one-hot overflowing the two-level
-    tabulation limit) are recorded as failed, not fatal.  Raises
-    [Invalid_argument] if every encoding fails. *)
+    synthesis or analysis raises (e.g. a wide code such as
+    {!Encode.one_hot} overflowing the two-level tabulation limit) are
+    recorded as failed, not fatal.  Raises [Invalid_argument] if every
+    encoding fails.  {!Encode.one_hot} is left out of the default
+    roster: on the benchmark FSMs it never beat a minimum-width code;
+    pass it through [~encodings] to race it. *)

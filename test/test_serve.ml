@@ -76,7 +76,7 @@ let test_pool_exception () =
 
 (* --- Memo --- *)
 
-let test_memo_compiled_bitsim () =
+let test_memo_compiled () =
   let m = Memo.create () in
   let net = mk_net 11 in
   let c1 = Memo.compiled m net in
@@ -87,16 +87,9 @@ let test_memo_compiled_bitsim () =
   let vec = Array.init (Compiled.num_inputs cold) (fun k -> k mod 2 = 0) in
   Alcotest.(check (array bool)) "compiled hit = cold recompute"
     (Compiled.eval cold vec) (Compiled.eval c1 vec);
-  let b1 = Memo.bitsim m net in
-  let b2 = Memo.bitsim m (Network.copy net) in
-  Alcotest.(check bool) "bitsim hit shared" true (b1 == b2);
-  let words = Array.init (Bitsim.num_inputs b1) (fun k -> (k * 0x9E37) lxor 5) in
-  Alcotest.(check (array int)) "bitsim hit = cold recompute"
-    (Bitsim.eval (Bitsim.of_network net) words)
-    (Bitsim.eval b1 words);
   let s = Memo.stats m in
-  Alcotest.(check int) "two misses" 2 s.Memo.misses;
-  Alcotest.(check int) "two hits" 2 s.Memo.hits
+  Alcotest.(check int) "one miss" 1 s.Memo.misses;
+  Alcotest.(check int) "one hit" 1 s.Memo.hits
 
 let test_memo_cone_probs () =
   let m = Memo.create () in
@@ -122,20 +115,6 @@ let test_memo_cone_probs () =
   in
   Alcotest.(check bool) "distinct fingerprint, distinct entry" true
     (other != warm)
-
-let test_memo_minimize () =
-  let m = Memo.create () in
-  let tt = Truth_table.of_expr 4 Expr.(var 0 &&& var 1 ||| (var 2 &&& var 3)) in
-  let f = Cover.of_truth_table tt in
-  let r1 = Memo.minimize m f in
-  let r2 = Memo.minimize m f in
-  Alcotest.(check bool) "cover hit shared" true (r1 == r2);
-  let cold = Cover.minimize f in
-  Alcotest.(check bool) "cover hit = cold recompute (packed words)" true
-    (List.map Cube.unsafe_words (Cover.cubes r1)
-    = List.map Cube.unsafe_words (Cover.cubes cold));
-  expect_invalid_arg "dc arity mismatch" (fun () ->
-      Memo.minimize m ~dc:(Cover.empty 3) f)
 
 let test_memo_cec () =
   let m = Memo.create () in
@@ -235,89 +214,28 @@ let test_tournament_champion_verified () =
     (p.Tournament.sat.Solver.decisions >= 0
     && p.Tournament.sat.Solver.vars > 0)
 
-let test_tournament_dualvth_candidate () =
-  let net = mk_net 33 in
-  let p = Tournament.run ~name:"t33" net in
-  let c =
-    List.find
-      (fun c -> c.Tournament.c_strategy = "dualvth")
-      p.Tournament.candidates
+(* The default rosters race only entries that can win; a roster change
+   moves every batch digest's margin, so the names are pinned. *)
+let test_tournament_default_rosters () =
+  let net = mk_net 25 in
+  let names roster = List.map (fun s -> s.Tournament.s_name) roster in
+  let raced p = List.map (fun c -> c.Tournament.c_strategy) p.Tournament.candidates in
+  let estimated = [ "source"; "dontcare-area"; "dontcare-power" ] in
+  let trace =
+    Stimulus.random (Lowpower.Rng.create 9)
+      ~width:(List.length (Network.inputs net))
+      ~length:64 ()
   in
-  (* The sized candidate must be SAT-equivalent (sizing only rewrites
-     delay/cap/leak annotations) and carry a finite score that includes
-     its leakage — i.e. it competed, it didn't fail the timing gate. *)
-  Alcotest.(check bool) "dualvth candidate verified" true
-    (c.Tournament.c_verdict = Tournament.Verified);
-  Alcotest.(check bool) "dualvth score finite" true
-    (Float.is_finite c.Tournament.score)
-
-let test_memo_dualvth () =
-  let memo = Memo.create () in
-  (* A miss annotates its mapping's netlist in place (changing its
-     content hash), so the repeat that must hit is a {e fresh} mapping
-     of the same circuit — exactly what a batch workload produces. *)
-  let remap () =
-    let subj = Subject.decompose (mk_net 47) in
-    let probs = Array.make (List.length (Network.inputs subj)) 0.5 in
-    let act = Activity.zero_delay subj ~input_probs:probs in
-    (Mapper.map ~verify:`Off subj (Mapper.Power act), probs)
-  in
-  let m, probs = remap () in
-  let m2, _ = remap () in
-  let before = Memo.stats memo in
-  let r1 = Memo.dualvth memo m ~input_probs:probs in
-  let r2 = Memo.dualvth memo m2 ~input_probs:probs in
-  let after = Memo.stats memo in
-  Alcotest.(check int) "one dualvth miss" (before.Memo.misses + 1)
-    after.Memo.misses;
-  Alcotest.(check int) "one dualvth hit" (before.Memo.hits + 1)
-    after.Memo.hits;
-  (* Each caller gets a private network, but the same optimization. *)
-  Alcotest.(check bool) "hit returns a fresh copy" true
-    (not (r1.Dualvth.net == r2.Dualvth.net));
-  Alcotest.(check bool) "same annotated structure" true
-    (Network.structural_hash r1.Dualvth.net
-    = Network.structural_hash r2.Dualvth.net);
-  Alcotest.(check int) "same move count" r1.Dualvth.moves r2.Dualvth.moves;
-  Alcotest.(check (list string)) "same assignment"
-    (List.map
-       (fun (_, (c : Techlib.cell)) -> c.Techlib.cell_name)
-       r1.Dualvth.assignment)
-    (List.map
-       (fun (_, (c : Techlib.cell)) -> c.Techlib.cell_name)
-       r2.Dualvth.assignment);
-  (* A different constraint fingerprint must miss, not alias ([m2]'s
-     netlist is untouched after its hit, so only the constraint
-     differs). *)
-  ignore (Memo.dualvth memo ~slack_factor:1.5 m2 ~input_probs:probs);
-  let s = Memo.stats memo in
-  Alcotest.(check int) "constraint change misses" (after.Memo.misses + 1)
-    s.Memo.misses
-
-(* Scaling every activity by 0.5 scales every power cost exactly, so the
-   mapper picks the same cover and the two netlists hash alike; each
-   mapping is still sized under its own carried activity, so the memo
-   must key on that activity, not on [input_probs]. *)
-let test_memo_dualvth_keys_on_activity () =
-  let subj = Subject.decompose (Circuits.array_multiplier 3).Circuits.net in
-  let probs = Probability.uniform_inputs subj in
-  let exact = Activity.zero_delay subj ~input_probs:probs in
-  let half = Hashtbl.copy exact in
-  Hashtbl.filter_map_inplace (fun _ a -> Some (0.5 *. a)) half;
-  let map act = Mapper.map ~verify:`Off subj (Mapper.Power act) in
-  let m_exact = map exact and m_half = map half in
-  Alcotest.(check bool) "same netlist hash" true
-    (Network.structural_hash (Mapper.netlist m_exact)
-    = Network.structural_hash (Mapper.netlist m_half));
-  let swcap r = (Dualvth.final_step r).Dualvth.switched_cap in
-  let direct = swcap (Dualvth.optimize_mapping (map half) ~input_probs:probs) in
-  let memo = Memo.create () in
-  let r_exact = Memo.dualvth memo m_exact ~input_probs:probs in
-  let r_half = Memo.dualvth memo m_half ~input_probs:probs in
-  Alcotest.(check int) "both miss" 2 (Memo.stats memo).Memo.misses;
-  check_close ~eps:0.0 "memoized = direct" direct (swcap r_half);
-  check_close ~eps:0.0 "half the exact mapping's" (0.5 *. swcap r_exact)
-    (swcap r_half)
+  Alcotest.(check (list string)) "roster without a trace" estimated
+    (names (Tournament.default_strategies net));
+  Alcotest.(check (list string)) "roster with a trace"
+    (estimated @ [ "measured" ])
+    (names (Tournament.default_strategies ~trace net));
+  Alcotest.(check (list string)) "run races the roster in order" estimated
+    (raced (Tournament.run net));
+  Alcotest.(check (list string)) "traced run races measured last"
+    (estimated @ [ "measured" ])
+    (raced (Tournament.run ~trace net))
 
 let test_tournament_rejects_broken_strategy () =
   let net = mk_net 22 in
@@ -472,8 +390,9 @@ let test_fsm_tournament () =
     champ.Tournament.verified;
   Alcotest.(check bool) "fsm margin nonnegative" true
     (p.Tournament.fsm_margin >= 0.0);
-  Alcotest.(check int) "full roster recorded" 4
-    (List.length p.Tournament.encodings);
+  Alcotest.(check (list string)) "full roster recorded"
+    [ "binary"; "gray"; "low-power" ]
+    (List.map (fun c -> c.Tournament.encoding) p.Tournament.encodings);
   Alcotest.(check bool) "champion capacitance finite" true
     (Float.is_finite p.Tournament.champion_capacitance)
 
@@ -524,18 +443,14 @@ let suite =
     quick "pool clamping and empty batch" test_pool_clamp_and_empty;
     quick "pool result streaming" test_pool_streaming;
     quick "pool exception propagation" test_pool_exception;
-    quick "memo compiled and bitsim" test_memo_compiled_bitsim;
+    quick "memo compiled form" test_memo_compiled;
     quick "memo cone probabilities" test_memo_cone_probs;
-    quick "memo cover minimization" test_memo_minimize;
     quick "memo cec verdicts" test_memo_cec;
     quick "memo cec verdict independent of prover order" test_memo_cec_prover_order;
     quick "memo cec prover exception caches nothing" test_memo_cec_prover_raises;
     quick "memo lru eviction" test_memo_eviction;
     quick "tournament champion verified" test_tournament_champion_verified;
-    quick "tournament dualvth candidate" test_tournament_dualvth_candidate;
-    quick "memo dualvth artifacts" test_memo_dualvth;
-    quick "memo dualvth keys on carried activity"
-      test_memo_dualvth_keys_on_activity;
+    quick "tournament default rosters" test_tournament_default_rosters;
     quick "tournament rejects broken strategy"
       test_tournament_rejects_broken_strategy;
     quick "tournament trace scoring" test_tournament_trace_scoring;
