@@ -4,21 +4,9 @@
    Usage: compare.exe FRESH BASELINE
 
    The files are in the flat one-number-per-key format [Microbench.write_json]
-   emits, so a full JSON parser is unnecessary.
-
-   Provenance of the committed artifacts: both BENCH.json and the
-   bench_output.txt transcript at the repo root are produced by one full
-   harness run from the repo root,
-
-     dune exec bench/main.exe > bench_output.txt
-
-   which regenerates every experiment table and then the microbenchmarks
-   (main.exe with no arguments runs both; BENCH.json is written to the
-   process working directory).  Re-run that command and commit both files
-   together whenever benchmarks are added or the perf baseline moves —
-   a stale transcript misdescribes the committed BENCH.json.  CI's
-   @bench-check alias runs `main.exe microbench` only and diffs the fresh
-   BENCH.json against the committed one with this program. *)
+   emits, so a full JSON parser is unnecessary.  The @bench-check alias
+   runs `main.exe microbench` and diffs the fresh BENCH.json against the
+   committed one with this program. *)
 
 let threshold = 1.25
 
@@ -54,8 +42,6 @@ let parse path =
    them is the number the pair exists to demonstrate. *)
 let pairs =
   [ ("event_sim_mult4_50vec_reference", "event_sim_mult4_50vec");
-    ("sta_incremental_1k", "sta_full_1k");
-    ("actsim_incremental_1k", "actsim_full_1k");
     ("prob_simulated_mult4_4k_bitsim", "prob_simulated_mult4_4k");
     ("seq_sim_counter16_1k_bitsim", "seq_sim_counter16_1k");
     ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored") ]

@@ -71,15 +71,11 @@ let required_times_1k =
   Test.make ~name:"required_times_1k"
     (Staged.stage (fun () -> ignore (Network.slacks net ())))
 
-(* Incremental STA vs the whole-array oracle on the same 1k-gate
-   network.  Each run toggles the same 32 gates (spread through the
-   topological order) between two delays via [Sta.set_delay],
-   re-propagating arrivals and (materialized) requireds after each
-   edit.  The engine is built outside the timed region; the _full
-   sibling forces whole-array passes on every update, so the pair's
-   ratio is the changed-cone-vs-network factor the incremental engine
-   exists for. *)
-let sta_1k_workload mode =
+(* Incremental STA on a 1k-gate network.  Each run toggles the same 32
+   gates between two delays via [Sta.set_delay], re-propagating arrivals
+   and (materialized) requireds after each edit.  The engine is built
+   outside the timed region. *)
+let sta_incremental_1k =
   let net =
     Gen_comb.random (Lowpower.Rng.create 7)
       { Gen_comb.num_inputs = 24; num_gates = 1000; max_fanin = 3;
@@ -88,7 +84,7 @@ let sta_1k_workload mode =
   let g = Network.timing_graph net in
   let delays = Array.make g.Sta.size 0.0 in
   List.iter (fun i -> delays.(i) <- Network.delay net i) (Network.node_ids net);
-  let sta = Sta.create ~mode g delays in
+  let sta = Sta.create g delays in
   ignore (Sta.required_array sta);
   (* 32 edit sites: the first 32 non-source nodes at or after the middle
      of the topological order — mid-cone gates whose forward and backward
@@ -111,28 +107,21 @@ let sta_1k_workload mode =
   in
   let d0 = Array.map (fun x -> Sta.delay sta x) sites in
   let flip = ref false in
-  fun () ->
-    flip := not !flip;
-    Array.iteri
-      (fun i x -> Sta.set_delay sta x (if !flip then d0.(i) +. 0.5 else d0.(i)))
-      sites
-
-let sta_incremental_1k =
   Test.make ~name:"sta_incremental_1k"
-    (Staged.stage (sta_1k_workload Sta.Incremental))
+    (Staged.stage (fun () ->
+         flip := not !flip;
+         Array.iteri
+           (fun i x ->
+             Sta.set_delay sta x (if !flip then d0.(i) +. 0.5 else d0.(i)))
+           sites))
 
-let sta_full_1k =
-  Test.make ~name:"sta_full_1k" (Staged.stage (sta_1k_workload Sta.Full))
-
-(* Incremental measured-activity maintenance vs full replay on the same
-   1k-gate network as the STA pair, over a 256-cycle correlated trace.
-   Each run re-expresses the same 32 mid-topological gates (function
-   inverted, then restored on the next run) through replace_func +
-   Actsim.update; the _full sibling replays the whole network per edit,
-   so the pair's ratio is the dirty-cone-vs-network factor.  The two
+(* Incremental measured-activity maintenance on the same 1k-gate network
+   as the STA entry, over a 256-cycle correlated trace.  Each run
+   re-expresses the same 32 gates (function inverted, then restored on
+   the next run) through replace_func + Actsim.update.  The two
    alternating functions are compiled into arrays outside the timed
    region, so the loop measures the engine, not expression building. *)
-let actsim_1k_workload mode =
+let actsim_incremental_1k =
   let net =
     Gen_comb.random (Lowpower.Rng.create 7)
       { Gen_comb.num_inputs = 24; num_gates = 1000; max_fanin = 3;
@@ -141,11 +130,10 @@ let actsim_1k_workload mode =
   let trace =
     Traces.correlated_walk (Lowpower.Rng.create 11) ~bits:24 ~n:256 ()
   in
-  let sim = Actsim.create ~mode net ~trace in
+  let sim = Actsim.create net ~trace in
   (* Edit sites from the top of the topological order: a local edit there
      has a shallow output cone, which is the locality the incremental
-     engine exploits (a full replay prices every edit at the whole
-     network regardless).  Inverting a node's function forces its entire
+     engine exploits.  Inverting a node's function forces its entire
      cone to genuinely change values, so the changed-cone cutoff never
      fires early — the speedup measured is cone size, not luck. *)
   let topo = Array.of_list (Network.topo_order net) in
@@ -161,23 +149,16 @@ let actsim_1k_workload mode =
   let f0 = Array.map (Network.func net) sites in
   let f1 = Array.map Expr.not_ f0 in
   let flip = ref false in
-  fun () ->
-    flip := not !flip;
-    Array.iteri
-      (fun i x ->
-        Network.replace_func net x
-          (if !flip then f1.(i) else f0.(i))
-          (Network.fanins net x);
-        Actsim.update sim x)
-      sites
-
-let actsim_incremental_1k =
   Test.make ~name:"actsim_incremental_1k"
-    (Staged.stage (actsim_1k_workload Actsim.Incremental))
-
-let actsim_full_1k =
-  Test.make ~name:"actsim_full_1k"
-    (Staged.stage (actsim_1k_workload Actsim.Full))
+    (Staged.stage (fun () ->
+         flip := not !flip;
+         Array.iteri
+           (fun i x ->
+             Network.replace_func net x
+               (if !flip then f1.(i) else f0.(i))
+               (Network.fanins net x);
+             Actsim.update sim x)
+           sites))
 
 (* The whole sizing + dual-Vth loop on the premapped 4-bit multiplier
    (mapping and activity computed outside the timed region): hundreds
@@ -337,8 +318,8 @@ let cec_adder_vs_factored_incremental =
 
 let tests =
   [ bdd_build; cover_minimize; cover_complement; fsm_synth; event_sim;
-    event_sim_reference; required_times_1k; sta_full_1k; sta_incremental_1k;
-    actsim_full_1k; actsim_incremental_1k;
+    event_sim_reference; required_times_1k; sta_incremental_1k;
+    actsim_incremental_1k;
     dualvth_opt_mult4; list_scheduling; iss_run;
     encoding_search; odc_guard; seq_chain; streaming_kernel;
     prob_sim_scalar; prob_sim_bitsim; seq_sim_scalar; seq_sim_bitsim;

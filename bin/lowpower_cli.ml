@@ -602,7 +602,7 @@ let rewrite_run workload taps width samples trace_len seed model coeffs =
       (dfg, Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true ()))
   @@ fun (dfg, trace) ->
   let memo = Memo.create () in
-  let res = Search.run ~samples ~memo ?model ~rng:r dfg ~trace in
+  let res = Search.run ~samples ~memo ~model ~rng:r dfg ~trace in
   let model_name =
     match res.Search.model with
     | Cost.Toggles -> "toggles"
@@ -665,12 +665,12 @@ let rewrite_cmd =
     Arg.(value
          & opt
              (enum
-                [ ("auto", None); ("toggles", Some Cost.Toggles);
-                  ("independence", Some Cost.Independence);
-                  ("area", Some Cost.Area) ])
-             None
+                [ ("toggles", Cost.Toggles);
+                  ("independence", Cost.Independence);
+                  ("area", Cost.Area) ])
+             Cost.Toggles
          & info [ "model" ] ~docv:"M"
-             ~doc:"Cost model: auto, toggles, independence, area.")
+             ~doc:"Cost model: toggles, independence, area.")
   in
   let coeffs =
     Arg.(value & opt (some (list int)) None

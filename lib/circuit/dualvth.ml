@@ -163,7 +163,7 @@ let optimize ?(config = default_config) ?required ?slack_factor
     match required with
     | Some r -> r
     | None -> (
-      let crit = Sta.critical_delay (Sta.create ~mode:Sta.Full g delays) in
+      let crit = Sta.critical_delay (Sta.create g delays) in
       match slack_factor with Some f -> f *. crit | None -> crit)
   in
   let sta = Sta.create ~required g delays in

@@ -30,7 +30,7 @@ let of_actsim sim =
         (List.map (fun id -> Actsim.toggles sim id) (Network.inputs net));
   }
 
-let measure net ~trace = of_actsim (Actsim.create ~mode:Full net ~trace)
+let measure net ~trace = of_actsim (Actsim.create net ~trace)
 
 let cycles a = a.ncycles
 let size a = Array.length a.ids

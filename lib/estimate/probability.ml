@@ -96,15 +96,12 @@ let packed_counts b ~base ~input_probs ~vectors =
   done;
   counts
 
-let simulated ?packed net ~rng ~input_probs ~vectors =
+let simulated ?(packed = true) net ~rng ~input_probs ~vectors =
   check_probs net input_probs;
   if vectors <= 0 then invalid_arg "Probability.simulated: vectors <= 0";
   let c = Compiled.of_network net in
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
   let counts =
-    if use_packed then
+    if packed then
       (* [split] advances the caller's generator once; the packed path then
          draws from pure per-block streams off that snapshot. *)
       packed_counts (Bitsim.of_compiled c) ~base:(Lowpower.Rng.split rng)
@@ -113,7 +110,7 @@ let simulated ?packed net ~rng ~input_probs ~vectors =
   in
   counts_to_probs c counts vectors
 
-let empirical ?packed net stream =
+let empirical ?(packed = true) net stream =
   let length = List.length stream in
   if length = 0 then invalid_arg "Probability.empirical: empty stream";
   let arity = List.length (Network.inputs net) in
@@ -124,11 +121,8 @@ let empirical ?packed net stream =
     stream;
   let c = Compiled.of_network net in
   let n = Compiled.size c in
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
   let counts =
-    if use_packed then begin
+    if packed then begin
       let b = Bitsim.of_compiled c in
       let counts = Array.make n 0 in
       let plane = Array.make n 0 in

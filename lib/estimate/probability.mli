@@ -33,12 +33,12 @@ val simulated :
 (** Monte-Carlo estimate from random functional simulation — the reference
     that exact estimation must agree with (used in tests).
 
-    By default ([packed] unset and [LOWPOWER_BITSIM] not ["off"]) the
-    network is compiled to the word-parallel engine ([Bitsim]): input
-    planes are drawn 63 vectors at a time ([Rng.bernoulli_word], one
-    independent [Rng.stream] per word block) and one-counts come from SWAR
-    popcounts, one block after another on the calling domain.
-    [~packed:false] forces the scalar path: one [Compiled.eval_into] per
+    By default ([packed] true) the network is compiled to the
+    word-parallel engine ([Bitsim]): input planes are drawn 63 vectors at
+    a time ([Rng.bernoulli_word], one independent [Rng.stream] per word
+    block) and one-counts come from SWAR popcounts, one block after
+    another on the calling domain.  [~packed:false] runs the scalar
+    reference the tests compare against: one [Compiled.eval_into] per
     vector.  The two paths draw different (equally valid) random planes,
     so their estimates agree statistically, not bit-for-bit; on a {e fixed}
     injected stream use {!empirical}, where packed and scalar counts are

@@ -440,11 +440,11 @@ let timing_graph t =
     t.graph_cache <- Some g;
     g
 
-let timing ?mode ?required t =
+let timing ?required t =
   let g = timing_graph t in
   let delays = Array.make t.next 0.0 in
   Hashtbl.iter (fun i n -> delays.(i) <- n.ndelay) t.nodes;
-  Sta.create ?mode ?required g delays
+  Sta.create ?required g delays
 
 let arrival_times t =
   let at = Sta.arrival_array (timing t) in

@@ -150,7 +150,7 @@ val timing_graph : t -> Sta.graph
     absent from the topo order and never visited).  Cached until the
     next structural or output edit; treat as read-only. *)
 
-val timing : ?mode:Sta.mode -> ?required:float -> t -> Sta.t
+val timing : ?required:float -> t -> Sta.t
 (** Fresh incremental timing engine over {!timing_graph} seeded with the
     current per-node delays.  [required] defaults to the critical delay
     (see {!Sta.create}).  Subsequent [Network.set_delay] edits are {e

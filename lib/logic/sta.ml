@@ -27,8 +27,6 @@ type graph = {
   sinks : int array;
 }
 
-type mode = Incremental | Full
-
 type stats = {
   full_passes : int;
   updates : int;
@@ -88,7 +86,6 @@ end
 
 type t = {
   g : graph;
-  mode : mode;
   required : float;
   delays : float array;
   at : float array;
@@ -106,7 +103,6 @@ type t = {
   mutable s_required_visits : int;
 }
 
-let mode t = t.mode
 let required_limit t = t.required
 let delay t i = t.delays.(i)
 
@@ -201,11 +197,6 @@ let drain_bwd t =
     end
   done
 
-let env_mode () =
-  match Sys.getenv_opt "LOWPOWER_STA" with
-  | Some "full" -> Full
-  | _ -> Incremental
-
 let critical_delay t =
   let d = ref 0.0 in
   Array.iter
@@ -224,16 +215,15 @@ let worst_slack t =
     t.g.sinks;
   !w
 
-let create ?mode ?required g delays =
+let create ?required g delays =
   if Array.length delays <> g.size then
     invalid_arg "Sta.create: delays length does not match graph size";
-  let mode = match mode with Some m -> m | None -> env_mode () in
   let topo_pos = Array.make g.size (-1) in
   Array.iteri (fun p x -> topo_pos.(x) <- p) g.topo;
   let is_sink = Array.make g.size false in
   Array.iter (fun s -> is_sink.(s) <- true) g.sinks;
   let t =
-    { g; mode;
+    { g;
       required = 0.0 (* placeholder; rebuilt below *);
       delays = Array.copy delays;
       at = Array.make g.size 0.0;
@@ -257,21 +247,15 @@ let set_delay t i d =
   if d <> t.delays.(i) then begin
     t.delays.(i) <- d;
     t.s_updates <- t.s_updates + 1;
-    match t.mode with
-    | Full ->
-      t.s_full_passes <- t.s_full_passes + 1;
-      full_arrival t;
-      if t.rt_valid then full_required t
-    | Incremental ->
-      push_fwd t i;
-      drain_fwd t;
-      if t.rt_valid then begin
-        let fs = t.g.fanins.(i) in
-        for k = 0 to Array.length fs - 1 do
-          push_bwd t fs.(k)
-        done;
-        drain_bwd t
-      end
+    push_fwd t i;
+    drain_fwd t;
+    if t.rt_valid then begin
+      let fs = t.g.fanins.(i) in
+      for k = 0 to Array.length fs - 1 do
+        push_bwd t fs.(k)
+      done;
+      drain_bwd t
+    end
   end
 
 let arrival_array t = t.at
@@ -293,11 +277,6 @@ let required t i =
 let slack t i =
   ensure_rt t;
   t.rt.(i) -. t.at.(i)
-
-let recompute t =
-  t.s_full_passes <- t.s_full_passes + 1;
-  full_arrival t;
-  if t.rt_valid then full_required t
 
 let stats t =
   { full_passes = t.s_full_passes; updates = t.s_updates;

@@ -20,10 +20,9 @@
     Incremental updates are float-exact against a full recompute: a
     changed node's value is refolded from scratch over its fan-in (the
     same left-to-right fold a full pass performs), so the incremental
-    path reproduces bit-identical arrays.  The full recompute is
-    retained as the differential oracle — force it for every update
-    with [mode = Full] or the environment variable [LOWPOWER_STA=full]
-    (the sixth CI pass). *)
+    path reproduces bit-identical arrays.  The oracle for that is a
+    fresh {!create} over the edited delays, whose creation is the full
+    pass. *)
 
 (** Topology snapshot the engine runs over.  Indices are an arbitrary
     dense id space [0 .. size-1]; entries not reachable from [topo] are
@@ -40,19 +39,14 @@ type graph = {
   sinks : int array;        (** primary outputs (deduplicated) *)
 }
 
-(** [Incremental] re-propagates only the affected cone on each
-    {!set_delay}; [Full] reruns the whole-array oracle passes instead
-    (same results, used for differential checking). *)
-type mode = Incremental | Full
-
 type t
 
 (** Counters accumulated over the life of an engine: [full_passes] is
-    the number of whole-array propagations (creation, [Full]-mode
-    updates, lazy required materialization), [updates] the number of
-    effective {!set_delay} calls, and the visit counts say how many
-    node recomputations the incremental worklists actually performed —
-    the cone-vs-network ratio the engine exists to shrink. *)
+    the number of whole-array propagations (creation and lazy required
+    materialization), [updates] the number of effective {!set_delay}
+    calls, and the visit counts say how many node recomputations the
+    incremental worklists actually performed — the cone-vs-network
+    ratio the engine exists to shrink. *)
 type stats = {
   full_passes : int;
   updates : int;
@@ -60,23 +54,19 @@ type stats = {
   required_visits : int;
 }
 
-(** [create ?mode ?required g delays] builds the engine and runs the
+(** [create ?required g delays] builds the engine and runs the
     initial forward pass.  [delays] (one entry per node, copied) is the
     node's own delay; sources contribute arrival [0.] regardless.
     [required] is the arrival limit applied at every sink; it defaults
     to the critical delay of the initial state, i.e. the tightest
-    constraint the starting point meets.  [mode] defaults to
-    [Incremental] unless [LOWPOWER_STA=full] is set in the
-    environment.
+    constraint the starting point meets.
 
     Required times are materialized lazily on the first query that
     needs them; engines used only for arrivals/critical delay never pay
     for the backward pass.
 
     @raise Invalid_argument if [delays] length differs from [g.size]. *)
-val create : ?mode:mode -> ?required:float -> graph -> float array -> t
-
-val mode : t -> mode
+val create : ?required:float -> graph -> float array -> t
 
 (** The sink arrival limit this engine propagates requireds from. *)
 val required_limit : t -> float
@@ -84,14 +74,13 @@ val required_limit : t -> float
 (** Current delay of a node. *)
 val delay : t -> int -> float
 
-(** [set_delay t i d] changes node [i]'s delay and re-propagates.  In
-    [Incremental] mode arrivals update forward from [i] and requireds
-    backward from [i]'s fan-in (a node's own required excludes its own
-    delay, so the first affected requireds are its drivers'), each
-    worklist processed in topo order and cut off where values are
-    unchanged.  Requireds are only propagated if they have been
-    materialized.  A no-op change ([d] equal to the current delay)
-    returns immediately.
+(** [set_delay t i d] changes node [i]'s delay and re-propagates:
+    arrivals update forward from [i] and requireds backward from [i]'s
+    fan-in (a node's own required excludes its own delay, so the first
+    affected requireds are its drivers'), each worklist processed in
+    topo order and cut off where values are unchanged.  Requireds are
+    only propagated if they have been materialized.  A no-op change
+    ([d] equal to the current delay) returns immediately.
 
     @raise Invalid_argument if [i] is out of range or not a live node
     of the graph ([topo] does not contain it). *)
@@ -100,8 +89,7 @@ val set_delay : t -> int -> float -> unit
 (* {1 Flat-array results}
 
    The returned arrays are the engine's own state: read-only views,
-   valid until the next [set_delay]/[recompute].  Copy them to keep a
-   snapshot. *)
+   valid until the next [set_delay].  Copy them to keep a snapshot. *)
 
 (** Arrival time per node (sources [0.]). *)
 val arrival_array : t -> float array
@@ -125,10 +113,5 @@ val critical_delay : t -> float
     materializing the backward pass ([infinity] with no sinks).
     Negative iff the constraint is violated. *)
 val worst_slack : t -> float
-
-(** Full oracle recompute of arrivals (and requireds if materialized)
-    from the current delays — the reference the incremental path is
-    tested against. *)
-val recompute : t -> unit
 
 val stats : t -> stats

@@ -1,13 +1,10 @@
 (* Switching-activity cost of a rewrite candidate: elaborate to gates,
    then either measure settled toggles over the trace (the word-parallel
-   [Bitsim] path, ~100 us per candidate) or fall back to the
-   independence-model estimate when [LOWPOWER_BITSIM=off].  [Area] costs
-   literals instead — the baseline E23 compares activity-driven search
-   against. *)
+   [Bitsim] path, ~100 us per candidate) or estimate them with the
+   independence model.  [Area] costs literals instead — the baseline E23
+   compares activity-driven search against. *)
 
 type model = Toggles | Independence | Area
-
-let default_model () = if Bitsim.enabled () then Toggles else Independence
 
 (* Same SplitMix-style mixing as Memo's keys; local because the
    fingerprint folds words and names Memo never sees. *)
@@ -45,7 +42,7 @@ let fingerprint ?inputs model trace =
 
 let stimulus net trace = List.map (Elaborate.input_vector net) trace
 
-let of_network ?(model = default_model ()) net ~trace =
+let of_network ?(model = Toggles) net ~trace =
   match model with
   | Area -> float_of_int (Network.literal_count net)
   | Toggles ->
@@ -64,7 +61,7 @@ let of_network ?(model = default_model ()) net ~trace =
     let act = Activity.zero_delay ~exact:false net ~input_probs:probs in
     Activity.switched_capacitance net act
 
-let of_dfg ?memo ?(model = default_model ()) ?inputs dfg ~trace =
+let of_dfg ?memo ?(model = Toggles) ?inputs dfg ~trace =
   let compute () =
     of_network ~model (Elaborate.to_network ?inputs dfg) ~trace
   in

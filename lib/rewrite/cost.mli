@@ -2,21 +2,18 @@
 
     The candidate is elaborated ({!Elaborate.to_network}) and costed
     under one of three models:
-    - {!Toggles} (the default while [Bitsim] is enabled): settled
-      gate-level transitions over the supplied word trace, measured by
-      [Bitsim.count_transitions] and weighted by node capacitance — the
-      "measured activity" signal of Simopt-Power;
-    - {!Independence}: the model-based fallback CI forces with
-      [LOWPOWER_BITSIM=off] — empirical per-bit input probabilities
-      propagated by the independence estimate
-      ([Activity.zero_delay ~exact:false]), capacitance-weighted;
+    - {!Toggles} (the default): settled gate-level transitions over the
+      supplied word trace, measured by [Bitsim.count_transitions] and
+      weighted by node capacitance — the "measured activity" signal of
+      Simopt-Power;
+    - {!Independence}: the model-based estimate ([--model independence]
+      on the CLI) — empirical per-bit input probabilities propagated by
+      the independence estimate ([Activity.zero_delay ~exact:false]),
+      capacitance-weighted;
     - {!Area}: literal count, trace-blind — the baseline E23 compares
       activity-driven search against. *)
 
 type model = Toggles | Independence | Area
-
-val default_model : unit -> model
-(** {!Toggles}, or {!Independence} when [LOWPOWER_BITSIM=off]. *)
 
 val fingerprint :
   ?inputs:string list -> model -> (string * int) list list -> int

@@ -47,9 +47,8 @@ let sat_budget = 60_000
 
 type state = { g : Dfg.t; c : float; trail : step list (* reversed *) }
 
-let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo ?model
-    ~rng dfg ~trace =
-  let model = match model with Some m -> m | None -> Cost.default_model () in
+let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo
+    ?(model = Cost.Toggles) ~rng dfg ~trace =
   (* Every candidate is elaborated and costed over the original input
      set, so input positions line up for [Cec] and input-pin activity is
      charged identically across candidates. *)

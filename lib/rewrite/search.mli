@@ -60,4 +60,4 @@ val run :
     output-miter solve may spend 60000 conflicts — a candidate left
     undecided is skipped, never applied and never memoized; [memo]
     caches candidate costs and CEC verdicts across and within runs;
-    [model] defaults to {!Cost.default_model}. *)
+    [model] defaults to [Cost.Toggles]. *)

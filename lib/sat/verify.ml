@@ -1,12 +1,14 @@
-type mode = [ `Bdd | `Sat | `Off ]
+type mode = [ `Sat | `Off ]
 
 exception Failed of string
 
 let default () : mode =
   match Sys.getenv_opt "LOWPOWER_VERIFY" with
+  | None | Some ("" | "off") -> `Off
   | Some "sat" -> `Sat
-  | Some "bdd" -> `Bdd
-  | _ -> `Off
+  | Some v ->
+    invalid_arg
+      (Printf.sprintf "LOWPOWER_VERIFY=%S: expected sat, off or empty" v)
 
 let resolve = function Some m -> m | None -> default ()
 
@@ -25,18 +27,11 @@ let cec_session sess =
 let vec_to_string vec =
   String.init (Array.length vec) (fun i -> if vec.(i) then '1' else '0')
 
-let fail pass what cex =
-  let suffix =
-    match cex with
-    | None -> ""
-    | Some vec -> Printf.sprintf " (counterexample inputs %s)" (vec_to_string vec)
-  in
-  raise (Failed (Printf.sprintf "%s: %s%s" pass what suffix))
-
-let assignment_to_vec n asgn =
-  let vec = Array.make n false in
-  List.iter (fun (v, b) -> if v < n then vec.(v) <- b) asgn;
-  vec
+let fail pass what vec =
+  raise
+    (Failed
+       (Printf.sprintf "%s: %s (counterexample inputs %s)" pass what
+          (vec_to_string vec)))
 
 let equivalent ?mode ~pass before after =
   match resolve mode with
@@ -45,22 +40,7 @@ let equivalent ?mode ~pass before after =
     match Cec.check before after with
     | Cec.Equivalent -> ()
     | Cec.Counterexample vec ->
-      fail pass "pass changed circuit behaviour" (Some vec))
-  | `Bdd ->
-    let man = Bdd.manager () in
-    let n = List.length (Network.inputs before) in
-    List.iter
-      (fun (name, _) ->
-        let fa = Network.output_bdd before man name in
-        let fb = Network.output_bdd after man name in
-        if not (Bdd.equal fa fb) then
-          let cex =
-            Option.map (assignment_to_vec n) (Bdd.any_sat (Bdd.xor man fa fb))
-          in
-          fail pass
-            (Printf.sprintf "pass changed output %S" name)
-            cex)
-      (Network.outputs before)
+      fail pass "pass changed circuit behaviour" vec)
 
 let never_true ?mode ?session ~pass net out =
   match resolve mode with
@@ -73,11 +53,4 @@ let never_true ?mode ?session ~pass net out =
     in
     match witness with
     | None -> ()
-    | Some vec -> fail pass ("obligation output " ^ out ^ " is satisfiable") (Some vec))
-  | `Bdd ->
-    let man = Bdd.manager () in
-    let f = Network.output_bdd net man out in
-    if not (Bdd.is_false f) then
-      let n = List.length (Network.inputs net) in
-      let cex = Option.map (assignment_to_vec n) (Bdd.any_sat f) in
-      fail pass ("obligation output " ^ out ^ " is satisfiable") cex
+    | Some vec -> fail pass ("obligation output " ^ out ^ " is satisfiable") vec)

@@ -4,23 +4,23 @@
     [mode] type; the pass builds its proof obligation (behavioural
     equivalence of the network before/after, or unsatisfiability of a
     violation output) and hands it here.  [`Sat] discharges through
-    {!Cec} (random simulation + CDCL), [`Bdd] through the symbolic
-    engine, [`Off] skips the check.
+    {!Cec} (random simulation + CDCL), [`Off] skips the check.
 
     The session default comes from the [LOWPOWER_VERIFY] environment
-    variable ("sat", "bdd", anything else or unset means off), so a CI
-    run can force verification across the whole test suite without
-    touching call sites. *)
+    variable ("sat" means [`Sat]; unset, empty or "off" means [`Off]),
+    so a CI run can force verification across the whole test suite
+    without touching call sites. *)
 
-type mode = [ `Bdd | `Sat | `Off ]
+type mode = [ `Sat | `Off ]
 
 exception Failed of string
-(** A proof obligation did not hold.  The message names the pass and,
-    when available, shows the counterexample input vector. *)
+(** A proof obligation did not hold.  The message names the pass and
+    shows the counterexample input vector. *)
 
 val default : unit -> mode
 (** The mode selected by [LOWPOWER_VERIFY] (read per call, so tests may
-    set it mid-process). *)
+    set it mid-process).  Raises [Invalid_argument] naming the accepted
+    values on any other value, so a typo never turns verification off. *)
 
 val resolve : mode option -> mode
 (** [resolve m] is the explicit mode when given, else {!default} — the
@@ -30,7 +30,7 @@ type session
 (** Amortization handle for a stream of obligations over one base
     network: under [`Sat] the obligations share one live {!Cec.session}
     (created lazily at the first discharged check, so a session costs
-    nothing under [`Off] or [`Bdd]). *)
+    nothing under [`Off]). *)
 
 val session : Network.t -> session
 (** A verification session rooted at the given network.  Pass it as

@@ -226,9 +226,6 @@ let verify_packed t stg ~rng ~cycles =
   done;
   !ok
 
-let verify ?packed t stg ~rng ~cycles =
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
-  if use_packed then verify_packed t stg ~rng ~cycles
+let verify ?(packed = true) t stg ~rng ~cycles =
+  if packed then verify_packed t stg ~rng ~cycles
   else verify_scalar t stg ~rng ~cycles

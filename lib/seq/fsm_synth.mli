@@ -33,8 +33,8 @@ val simulate_inputs :
 val verify : ?packed:bool -> t -> Stg.t -> rng:Lowpower.Rng.t -> cycles:int
   -> bool
 (** Co-simulate circuit vs STG from reset on random inputs; true iff output
-    traces agree everywhere.  By default ([packed] unset and
-    [LOWPOWER_BITSIM] not ["off"]) the check runs word-parallel: 63
-    independent runs of [cycles] steps each, one per bit lane, stepped
-    through a single bit-plane evaluation per cycle — 63x the coverage of
-    the scalar check ([~packed:false]) at essentially its cost. *)
+    traces agree everywhere.  By default ([packed] true) the check runs
+    word-parallel: 63 independent runs of [cycles] steps each, one per bit
+    lane, stepped through a single bit-plane evaluation per cycle — 63x
+    the coverage of the scalar check ([~packed:false], the reference the
+    tests compare it against) at essentially its cost. *)

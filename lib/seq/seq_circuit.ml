@@ -51,7 +51,8 @@ type stats = {
 
 let total_energy s = s.comb_energy +. s.clock_energy
 
-let simulate ?(delay_model = Event_sim.Zero_delay) ?packed t stimulus =
+let simulate ?(delay_model = Event_sim.Zero_delay) ?(packed = true) t
+    stimulus =
   let free = free_inputs t in
   (match stimulus with
   | [] -> invalid_arg "Seq_circuit.simulate: empty stimulus"
@@ -81,10 +82,7 @@ let simulate ?(delay_model = Event_sim.Zero_delay) ?packed t stimulus =
   in
   let q_pos = Array.map (fun r -> pos_of r.q) regs in
   let q_state = Array.map (fun r -> r.init) regs in
-  let use_packed =
-    (match packed with Some b -> b | None -> Bitsim.enabled ())
-    && delay_model = Event_sim.Zero_delay
-  in
+  let use_packed = packed && delay_model = Event_sim.Zero_delay in
   (* The serial register loop only reads the d and enable values.  When the
      packed replay below supplies both the outputs trace and the transition
      counts, the per-cycle scalar evaluation can be restricted to the cone

@@ -62,8 +62,8 @@ val simulate :
 
     Under [Zero_delay] the combinational transition counting behind
     [comb_energy] runs on the word-parallel engine ([Bitsim], 63 cycles per
-    machine word) unless [~packed:false] is passed or [LOWPOWER_BITSIM=off]
-    forces the event-driven scalar path; the two paths produce
-    bit-identical stats.  Delay models with glitching always use
+    machine word) unless [~packed:false] selects the event-driven scalar
+    path, the reference the tests compare it against; the two paths
+    produce bit-identical stats.  Delay models with glitching always use
     [Event_sim].  Raises [Invalid_argument] on arity mismatch or empty
     stimulus. *)

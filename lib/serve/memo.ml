@@ -1,7 +1,7 @@
 (* Content-addressed cache: one hash table of 63-bit keys -> artifact
    variants under a single mutex.  The lock covers table bookkeeping
    only; artifact computation happens outside it, so a slow BDD cone on
-   one domain never blocks a compiled-form hit on another. *)
+   one domain never blocks a cached-proof hit on another. *)
 
 (* Same SplitMix64-style finisher as Network.structural_hash (constants
    truncated to OCaml's 63-bit int); kept local because keys mix
@@ -17,7 +17,6 @@ let combine h x = mix ((h * 0x100000001B3) lxor x)
 let combine_float h f = combine h (Int64.to_int (Int64.bits_of_float f) land max_int)
 
 type artifact =
-  | A_compiled of Compiled.t
   | A_cone of (string * float) array
   | A_equivalent
   | A_activity of float
@@ -114,17 +113,10 @@ let memoize t key compute =
 
 (* Kind tags keep the artifact spaces disjoint even for identical
    ingredient hashes. *)
-let k_compiled = 1
-and k_cone = 2
+let k_cone = 2
 and k_cec = 3
 and k_activity = 4
 and k_annotation = 5
-
-let compiled t net =
-  let key = combine k_compiled (Network.structural_hash net) in
-  match memoize t key (fun () -> A_compiled (Compiled.of_network net)) with
-  | A_compiled c -> c
-  | _ -> assert false
 
 let cone_probabilities t net ~input_probs =
   let num_inputs = List.length (Network.inputs net) in

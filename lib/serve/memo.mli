@@ -1,14 +1,14 @@
 (** Content-addressed artifact cache shared across batch jobs.
 
     Jobs in a mixed workload keep meeting the same circuit: an estimate
-    job compiles the network the tournament just raced, a verify job
-    re-proves a pair the previous batch already settled.  This store
-    caches five derived artifacts — compiled forms ({!Compiled.t}), BDD
-    cone results (exact per-output signal probabilities), proved CEC
-    equivalences, measured-activity annotations and datapath activity
-    costs — keyed by {!Network.structural_hash} or [Dfg.structural_hash]
-    (plus a fingerprint: input probabilities, operand pair, trace
-    content, cost model).
+    job builds the BDDs of a network an earlier job already estimated, a
+    verify job re-proves a pair the previous batch already settled.  This
+    store caches four derived artifacts — BDD cone results (exact
+    per-output signal probabilities), proved CEC equivalences,
+    measured-activity annotations and datapath activity costs — keyed by
+    {!Network.structural_hash} or [Dfg.structural_hash] (plus a
+    fingerprint: input probabilities, operand pair, trace content, cost
+    model).
 
     Keys are pure 63-bit content hashes; entries store no witness of the
     original network, so two distinct networks colliding on the hash
@@ -43,9 +43,6 @@ type stats = {
 val stats : t -> stats
 
 (** {1 Cached artifacts} *)
-
-val compiled : t -> Network.t -> Compiled.t
-(** The flat-array snapshot [Compiled.of_network]. *)
 
 val cone_probabilities :
   t -> Network.t -> input_probs:float array -> (string * float) array

@@ -75,7 +75,7 @@ let steal_half d =
   Mutex.unlock d.lock;
   r
 
-let map ?domains ?on_result f xs =
+let map ?domains f xs =
   let n = Array.length xs in
   let d =
     match domains with Some d -> max 1 d | None -> default_domains ()
@@ -99,9 +99,7 @@ let map ?domains ?on_result f xs =
     let first_exn = Atomic.make None in
     let execute w i =
       (match f xs.(i) with
-      | r ->
-        results.(i) <- Some r;
-        (match on_result with Some g -> g i r | None -> ())
+      | r -> results.(i) <- Some r
       | exception e ->
         ignore (Atomic.compare_and_set first_exn None (Some e)));
       executed.(w) <- executed.(w) + 1;

@@ -13,8 +13,7 @@
     job array returns the {e identical} result array for every domain
     count, which is the determinism property the test suite checks 1 vs N
     domains.  Result slots are disjoint, so workers never contend on
-    them; completion order is nondeterministic and only observable
-    through [on_result]. *)
+    them. *)
 
 type stats = {
   domains : int;       (** workers actually used (clamped to job count) *)
@@ -29,16 +28,12 @@ val default_domains : unit -> int
     [LOWPOWER_SERVE_DOMAINS] environment variable when set to a positive
     integer, else [Domain.recommended_domain_count ()] capped at 8. *)
 
-val map :
-  ?domains:int -> ?on_result:(int -> 'b -> unit) -> ('a -> 'b) -> 'a array
-  -> 'b array * stats
+val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array * stats
 (** [map f jobs] runs [f jobs.(i)] for every [i] across the pool and
     returns the results in job order plus run statistics.  [domains]
     defaults to {!default_domains}; it is clamped to [1 .. jobs] (a
     1-domain pool runs everything on the calling domain through the same
-    deque machinery).  [on_result i r] streams each result as it
-    completes, {e from the worker domain that produced it} — callbacks
-    must therefore be thread-safe; job order is not guaranteed.
+    deque machinery).
 
     If any job raises, the first exception (by completion order) is
     re-raised on the calling domain after all workers have drained. *)

@@ -67,53 +67,24 @@ let default_strategies ?input_probs ?trace net =
   ]
   @ measured
 
-(* Capacitance-weighted toggles per cycle, measured over the trace.  The
-   scalar path mirrors Bitsim.count_transitions (settled zero-delay
-   values, initialization uncharged, input toggles counted) and is what
-   the LOWPOWER_BITSIM=off configuration exercises. *)
+(* Capacitance-weighted settled toggles per cycle, measured over the
+   trace. *)
 let measured_score ?memo net trace =
-  let cycles = List.length trace in
-  let denom = float_of_int (max 1 (cycles - 1)) in
-  if Bitsim.enabled () then begin
-    match memo with
-    | Some m ->
-      (* Annotation.switched_capacitance sums cap * count in the same
-         ascending-id order over the same measured counts, so a cache hit
-         scores bit-identically to the direct path below. *)
-      Annotation.switched_capacitance (Memo.activity m net ~trace)
-    | None ->
-      let bs = Bitsim.of_network net in
-      let counts = Bitsim.count_transitions bs trace in
-      let c = Bitsim.compiled bs in
-      let acc = ref 0.0 in
-      Array.iteri
-        (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
-        counts;
-      !acc /. denom
-  end
-  else begin
-    let c =
-      match memo with
-      | Some m -> Memo.compiled m net
-      | None -> Compiled.of_network net
-    in
-    let size = Compiled.size c in
-    let prev = Array.make size false and cur = Array.make size false in
+  match memo with
+  | Some m ->
+    (* Annotation.switched_capacitance sums cap * count in the same
+       ascending-id order over the same measured counts, so a cache hit
+       scores bit-identically to the direct path below. *)
+    Annotation.switched_capacitance (Memo.activity m net ~trace)
+  | None ->
+    let bs = Bitsim.of_network net in
+    let counts = Bitsim.count_transitions bs trace in
+    let c = Bitsim.compiled bs in
     let acc = ref 0.0 in
-    (match trace with
-    | [] -> invalid_arg "Tournament: empty trace"
-    | v0 :: rest ->
-      Compiled.eval_into c v0 prev;
-      List.iter
-        (fun v ->
-          Compiled.eval_into c v cur;
-          for i = 0 to size - 1 do
-            if cur.(i) <> prev.(i) then acc := !acc +. Compiled.cap c i
-          done;
-          Array.blit cur 0 prev 0 size)
-        rest);
-    !acc /. denom
-  end
+    Array.iteri
+      (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
+      counts;
+    !acc /. float_of_int (max 1 (List.length trace - 1))
 
 let estimated_score net ~input_probs =
   let act = Activity.zero_delay ~exact:false net ~input_probs in

@@ -90,8 +90,7 @@ val run :
     [measured] strategy; otherwise by zero-delay activity under
     [input_probs] (the independence estimate).  With [memo], proved
     equivalences ({!Memo.check_with}) and measured annotations
-    ({!Memo.activity}; {!Memo.compiled} forms when {!Bitsim.enabled} is
-    false) are served from / inserted into the shared cache
+    ({!Memo.activity}) are served from / inserted into the shared cache
     (a cached equivalence skips the session query entirely; a refuted
     candidate is re-checked every time; a cached annotation scores
     bit-identically to a fresh measurement).  The source is never

@@ -16,8 +16,6 @@
      flags, so each node is re-evaluated at most once per update and only
      after all its dirty predecessors. *)
 
-type mode = Incremental | Full
-
 type stats = {
   full_passes : int;
   updates : int;
@@ -31,7 +29,6 @@ type t = {
   nins : int;
   nvecs : int;
   nblocks : int;
-  mode : mode;
   ids : int array; (* index -> id, ascending (the Compiled convention) *)
   index : (Network.id, int) Hashtbl.t;
   is_input : bool array;
@@ -47,18 +44,11 @@ type t = {
   mutable pos : int array; (* index -> position in topo *)
   heap : Int_heap.t;
   in_heap : bool array;
-  mutable s_full : int;
   mutable s_updates : int;
   mutable s_visits : int;
   mutable s_words : int;
 }
 
-let env_mode () =
-  match Sys.getenv_opt "LOWPOWER_ACTSIM" with
-  | Some "full" -> Full
-  | _ -> Incremental
-
-let mode t = t.mode
 let network t = t.net
 let size t = t.n
 let num_inputs t = t.nins
@@ -91,7 +81,7 @@ let switched_capacitance t =
   !acc /. float_of_int (max 1 (t.nvecs - 1))
 
 (* Whole-network replay: re-evaluate every logic node's words in topo
-   order for every block, then recount from scratch — the oracle pass
+   order for every block, then recount from scratch — creation's pass,
    whose results the incremental path must reproduce bit for bit. *)
 let full_pass t =
   for b = 0 to t.nblocks - 1 do
@@ -113,16 +103,11 @@ let full_pass t =
     t.counts.(x) <- !c
   done
 
-let recompute t =
-  t.s_full <- t.s_full + 1;
-  full_pass t
-
 let compile_node t id =
   let fi = Array.of_list (List.map (index_of t) (Network.fanins t.net id)) in
   (fi, Bitsim.compile_word fi (Network.func t.net id))
 
-let create ?mode net ~trace =
-  let mode = match mode with Some m -> m | None -> env_mode () in
+let create net ~trace =
   let vecs = Array.of_list trace in
   let nvecs = Array.length vecs in
   if nvecs = 0 then invalid_arg "Actsim.create: empty trace";
@@ -169,7 +154,7 @@ let create ?mode net ~trace =
   in
   let t =
     {
-      net; n; nins; nvecs; nblocks; mode; ids; index; is_input;
+      net; n; nins; nvecs; nblocks; ids; index; is_input;
       in_words; pair_mask; ones_mask;
       planes = Array.init nblocks (fun _ -> Array.make n 0);
       counts = Array.make n 0;
@@ -179,7 +164,7 @@ let create ?mode net ~trace =
       topo = [||]; pos = Array.make n (-1);
       heap = Int_heap.create ();
       in_heap = Array.make n false;
-      s_full = 1; s_updates = 0; s_visits = 0; s_words = 0;
+      s_updates = 0; s_visits = 0; s_words = 0;
     }
   in
   Array.iteri
@@ -280,17 +265,12 @@ let update t id =
         t.fanouts.(g) <- Array.append t.fanouts.(g) [| x |])
     fi;
   if Array.exists (fun g -> t.pos.(g) > t.pos.(x)) fi then refresh_topo t;
-  match t.mode with
-  | Full ->
-    t.s_full <- t.s_full + 1;
-    full_pass t
-  | Incremental ->
-    push t x;
-    drain t
+  push t x;
+  drain t
 
 let stats t =
   {
-    full_passes = t.s_full;
+    full_passes = 1 (* creation's; updates only drain dirty cones *);
     updates = t.s_updates;
     node_visits = t.s_visits;
     word_evals = t.s_words;

@@ -21,42 +21,32 @@
     {!Bitsim.count_transitions} of the mutated network over the same trace
     (same packing, same overlap lane, same popcount masks), which is what
     lets the differential tests compare with [=] and lets the propagation
-    cutoff be exact rather than approximate.  A full-replay mode is
-    retained as the differential oracle; [LOWPOWER_ACTSIM=full] in the
-    environment selects it for every engine that does not pin [~mode]. *)
+    cutoff be exact rather than approximate.  The oracle is a fresh
+    {!create} (or [Bitsim.count_transitions]) over the edited network. *)
 
 type t
 
-type mode =
-  | Incremental  (** changed-cone re-simulation via the topo-ordered heap *)
-  | Full  (** whole-network replay on every update — the oracle *)
-
 type stats = {
-  full_passes : int;  (** whole-network replays (creation counts as one) *)
+  full_passes : int;  (** whole-network replays: creation's, so always 1 *)
   updates : int;  (** {!update} calls that reached the engine *)
   node_visits : int;  (** nodes popped off the incremental worklist *)
   word_evals : int;  (** node-block word evaluations performed *)
 }
 
-val env_mode : unit -> mode
-(** [Full] when [LOWPOWER_ACTSIM=full] is in the environment, else
-    [Incremental] — the default for engines that do not pin [~mode]. *)
-
-val create : ?mode:mode -> Network.t -> trace:Stimulus.t -> t
+val create : Network.t -> trace:Stimulus.t -> t
 (** Snapshot the network's current structure, pack the trace with the
     {!Bitsim.count_transitions} one-lane block overlap, simulate every
     block once and count every node's settled (zero-delay) transitions.
     The engine retains a reference to [net]: subsequent edits must be
-    announced through {!update}.  [mode] defaults to {!env_mode}.  Raises
-    [Invalid_argument] on an empty trace or input-arity mismatch. *)
+    announced through {!update}.  Raises [Invalid_argument] on an empty
+    trace or input-arity mismatch. *)
 
 val update : t -> Network.id -> unit
 (** Announce that node [id]'s local function and/or fanin list changed in
     the underlying network (after {!Network.replace_func}).  Re-reads the
     function and fanins, rewires the engine's adjacency mirror, recompiles
     the word closure, restores topological order if the rewiring broke it,
-    and re-simulates the dirty cone (Incremental) or the whole network
-    (Full).  Counts are exact afterwards in both modes.  Raises
+    and re-simulates the dirty cone.  Counts are exact afterwards.  Raises
     [Invalid_argument] if [id] is a primary input, absent from the
     snapshot, has a fanin outside the snapshot, or if the network's node
     set changed since {!create} (nodes added or swept). *)
@@ -64,7 +54,6 @@ val update : t -> Network.id -> unit
 val network : t -> Network.t
 (** The underlying network (the engine holds it by reference). *)
 
-val mode : t -> mode
 val size : t -> int
 (** Total node count of the snapshot (inputs included). *)
 
@@ -100,9 +89,5 @@ val switched_capacitance : t -> float
     [(sum_n cap(n) * toggles(n)) / (cycles - 1)], summed in ascending id
     order, caps read live from the network.  The measured analogue of
     {!Activity.switched_capacitance} — the optimizer inner-loop score. *)
-
-val recompute : t -> unit
-(** Force a whole-network replay and recount (the {!mode}-independent
-    oracle pass); a no-op on correct state, used by differential tests. *)
 
 val stats : t -> stats

@@ -23,11 +23,6 @@ let popcount x =
 
 let lane_mask n = if n >= vectors_per_word then -1 else (1 lsl n) - 1
 
-let enabled () =
-  match Sys.getenv_opt "LOWPOWER_BITSIM" with
-  | Some "off" -> false
-  | Some _ | None -> true
-
 (* Word-parallel analogue of [Compiled.compile_expr]: fanin positions are
    resolved to plane indices at compile time and the closure evaluates all
    63 lanes with one boolean-algebra word op per connective. *)

@@ -70,9 +70,3 @@ val popcount : int -> int
 val lane_mask : int -> int
 (** [lane_mask n] has lanes [0..n-1] set ([n >= 63] gives all lanes) —
     the mask for counting a final partial word. *)
-
-val enabled : unit -> bool
-(** The packed engine is on by default; [LOWPOWER_BITSIM=off] in the
-    environment forces every consumer with a scalar fallback
-    ([Probability.simulated], [Seq_circuit.simulate], [Fsm_synth.verify])
-    back onto it — the differential-oracle configuration CI runs. *)

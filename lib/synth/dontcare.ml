@@ -135,7 +135,7 @@ let cheapest cost cands =
       | _ -> Some s)
     None cands
 
-let optimize_node_unchecked net policy n =
+let optimize_node net policy n =
   if Network.is_input net n || List.length (Network.fanins net n) > 16 then
     false
   else begin
@@ -200,26 +200,20 @@ let optimize_node_unchecked net policy n =
   end
 
 (* The don't-care computation guarantees equivalence by construction; the
-   [?verify] argument re-proves it independently (miter + SAT, or BDDs),
-   the safety net for bugs in the DC machinery itself. *)
-let checked ?verify ~pass net run =
+   [?verify] argument re-proves it independently (miter + SAT), the safety
+   net for bugs in the DC machinery itself. *)
+let optimize ?verify net policy =
   let mode = Verify.resolve verify in
   let before = if mode = `Off then None else Some (Network.copy net) in
-  let result = run () in
+  let changed =
+    List.fold_left
+      (fun changed i ->
+        if Network.is_input net i then changed
+        else if optimize_node net policy i then changed + 1
+        else changed)
+      0 (Network.topo_order net)
+  in
   (match before with
-  | Some b -> Verify.equivalent ~mode ~pass b net
+  | Some b -> Verify.equivalent ~mode ~pass:"Dontcare.optimize" b net
   | None -> ());
-  result
-
-let optimize_node ?verify net policy n =
-  checked ?verify ~pass:"Dontcare.optimize_node" net (fun () ->
-      optimize_node_unchecked net policy n)
-
-let optimize ?verify net policy =
-  checked ?verify ~pass:"Dontcare.optimize" net (fun () ->
-      List.fold_left
-        (fun changed i ->
-          if Network.is_input net i then changed
-          else if optimize_node_unchecked net policy i then changed + 1
-          else changed)
-        0 (Network.topo_order net))
+  changed

@@ -45,15 +45,10 @@ type policy =
           fanout} — a probability skew that quiets the node can excite
           downstream gates, and this policy sees that *)
 
-val optimize_node :
-  ?verify:Verify.mode -> Network.t -> policy -> Network.id -> bool
-(** Re-implement one node using its don't-cares under the given policy;
-    returns [true] if the node changed.  The network remains functionally
-    equivalent at all primary outputs (don't-cares guarantee it); [verify]
-    (default {!Verify.default}) re-proves the equivalence independently
-    and raises {!Verify.Failed} on a mismatch. *)
-
 val optimize : ?verify:Verify.mode -> Network.t -> policy -> int
-(** Apply {!optimize_node} to every logic node in topological order;
-    returns the number of changed nodes.  One verification at the end
-    covers the whole sweep. *)
+(** Re-implement every logic node (at most 16 fanins), in topological
+    order, using its don't-cares under the given policy; returns the
+    number of changed nodes.  The network remains functionally
+    equivalent at all primary outputs (don't-cares guarantee it);
+    [verify] (default {!Verify.default}) re-proves the equivalence once,
+    after the whole sweep, and raises {!Verify.Failed} on a mismatch. *)

@@ -236,9 +236,6 @@ let instances m =
 let total_area m =
   Hashtbl.fold (fun _ ch acc -> acc +. ch.cell.Techlib.area) m.choice 0.0
 
-let total_leakage m =
-  Hashtbl.fold (fun _ ch acc -> acc +. ch.cell.Techlib.leak) m.choice 0.0
-
 let choices m =
   Hashtbl.fold
     (fun si ch acc -> (Hashtbl.find m.signal si, ch.cell) :: acc)

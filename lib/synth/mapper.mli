@@ -57,8 +57,6 @@ val instances : mapping -> (string * int) list
 (** Cell-name usage histogram. *)
 
 val total_area : mapping -> float
-val total_leakage : mapping -> float
-(** Sum of chosen cells' leakage currents, amperes. *)
 
 val critical_delay : mapping -> float
 (** Of the mapped netlist, using cell delays. *)

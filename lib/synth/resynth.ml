@@ -22,11 +22,11 @@ let candidates net n =
       []
       (Dontcare.minimized_candidates d)
 
-let measured ?verify ?mode ?(max_fanin = 10) net ~trace =
+let measured ?verify ?(max_fanin = 10) net ~trace =
   let max_fanin = min max_fanin 16 in
   let vmode = Verify.resolve verify in
   let before = if vmode = `Off then None else Some (Network.copy net) in
-  let sim = Actsim.create ?mode net ~trace in
+  let sim = Actsim.create net ~trace in
   let initial_score = Actsim.switched_capacitance sim in
   let changed = ref 0 and tried = ref 0 in
   List.iter

@@ -17,12 +17,11 @@ type result = {
   tried : int;  (** candidate implementations measured *)
   initial_score : float;  (** measured switched capacitance before *)
   final_score : float;  (** measured switched capacitance after *)
-  sim : Actsim.stats;  (** engine work — the incremental-vs-full story *)
+  sim : Actsim.stats;  (** engine work: one creation pass, then dirty cones *)
 }
 
 val measured :
   ?verify:Verify.mode ->
-  ?mode:Actsim.mode ->
   ?max_fanin:int ->
   Network.t ->
   trace:Stimulus.t ->
@@ -34,6 +33,5 @@ val measured :
     original wins ties).  The network is mutated in place and stays
     functionally equivalent by construction; [verify] (default
     {!Verify.default}) re-proves it and raises {!Verify.Failed} on a
-    mismatch.  [mode] pins the engine mode (default {!Actsim.env_mode};
-    results are identical in both, only the work differs — see [stats]).
-    Raises [Invalid_argument] on an empty trace or arity mismatch. *)
+    mismatch.  Raises [Invalid_argument] on an empty trace or arity
+    mismatch. *)

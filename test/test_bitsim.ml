@@ -221,20 +221,27 @@ let prop_empirical_packed_equals_scalar =
 
 (* ---- packed Monte-Carlo estimators ----------------------------------- *)
 
+(* The scalar reference too: skewed input probabilities are what tell one
+   input's probability from another's, which the uniform-input
+   packed-vs-scalar check below cannot. *)
 let test_simulated_packed_matches_exact () =
   let net = (Circuits.comparator 4).Circuits.net in
   let input_probs = [| 0.5; 0.3; 0.7; 0.5; 0.2; 0.5; 0.5; 0.8 |] in
   let e = Probability.exact net ~input_probs in
-  let s =
-    Probability.simulated ~packed:true net ~rng:(rng ()) ~input_probs
-      ~vectors:40_000
-  in
-  Hashtbl.iter
-    (fun i p ->
-      check_close_rel ~eps:0.12 "packed monte carlo agrees with exact"
-        (max p 0.02)
-        (max (Hashtbl.find s i) 0.02))
-    e
+  List.iter
+    (fun packed ->
+      let s =
+        Probability.simulated ~packed net ~rng:(rng ()) ~input_probs
+          ~vectors:40_000
+      in
+      Hashtbl.iter
+        (fun i p ->
+          check_close_rel ~eps:0.12
+            (Printf.sprintf "monte carlo (packed %b) agrees with exact" packed)
+            (max p 0.02)
+            (max (Hashtbl.find s i) 0.02))
+        e)
+    [ true; false ]
 
 let test_simulated_packed_vs_scalar_statistical () =
   (* Independently seeded runs of the two engines agree within Monte-Carlo
@@ -342,19 +349,25 @@ let test_verify_packed_accepts_correct () =
       Gen_fsm.sequence_detector ~pattern:[ true; false; true ];
     ]
 
+(* One mutant per output bit: a check that compared some bits and skipped
+   others would still reject a mutant of the first. *)
 let test_verify_packed_rejects_mutant () =
   let stg = Gen_fsm.counter ~bits:3 in
-  let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:8) in
-  let net = Seq_circuit.network synth.Fsm_synth.circuit in
-  (* Flip one output bit's function. *)
-  let _, out_id = List.hd synth.Fsm_synth.output_nodes in
-  Network.replace_func net out_id
-    (Expr.not_ (Network.func net out_id))
-    (Network.fanins net out_id);
-  Alcotest.(check bool) "packed verify rejects" false
-    (Fsm_synth.verify ~packed:true synth stg ~rng:(rng ()) ~cycles:100);
-  Alcotest.(check bool) "scalar verify rejects" false
-    (Fsm_synth.verify ~packed:false synth stg ~rng:(rng ()) ~cycles:100)
+  let synth () = Fsm_synth.synthesize stg (Encode.binary ~num_states:8) in
+  List.iteri
+    (fun k _ ->
+      let synth = synth () in
+      let net = Seq_circuit.network synth.Fsm_synth.circuit in
+      (* Flip output bit k's function. *)
+      let _, out_id = List.nth synth.Fsm_synth.output_nodes k in
+      Network.replace_func net out_id
+        (Expr.not_ (Network.func net out_id))
+        (Network.fanins net out_id);
+      Alcotest.(check bool) "packed verify rejects" false
+        (Fsm_synth.verify ~packed:true synth stg ~rng:(rng ()) ~cycles:100);
+      Alcotest.(check bool) "scalar verify rejects" false
+        (Fsm_synth.verify ~packed:false synth stg ~rng:(rng ()) ~cycles:100))
+    (synth ()).Fsm_synth.output_nodes
 
 let suite =
   [

@@ -442,8 +442,8 @@ let prop_session_matches_check =
             (rule.Rules.sites g))
         (broken_rule :: Rules.all))
 
-(* The search behaves under the fallback cost model too (what the
-   LOWPOWER_BITSIM=off CI pass exercises end to end). *)
+(* The search behaves under the Independence cost model too (the CLI's
+   [rewrite --model independence]). *)
 let test_search_independence_model () =
   let r = rng () in
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in

@@ -276,7 +276,43 @@ let test_verify_modes_on_passes () =
       ignore (Dontcare.optimize ~verify:mode n Dontcare.For_area);
       ignore (Balance.balance ~verify:mode n);
       ignore (Mapper.map ~verify:mode (Subject.decompose n) Mapper.Area))
-    [ `Sat; `Bdd; `Off ]
+    [ `Sat; `Off ]
+
+(* LOWPOWER_VERIFY accepts exactly unset, "", "off" and "sat"; anything
+   else (a typo, or the retired "bdd") must raise rather than quietly
+   turn the safety net off.  The previous value is restored afterwards so
+   a suite run under LOWPOWER_VERIFY=sat stays under it; an unset
+   variable comes back as "", which also means off. *)
+let test_verify_env_values () =
+  let var = "LOWPOWER_VERIFY" in
+  let previous = Option.value (Sys.getenv_opt var) ~default:"" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var previous)
+    (fun () ->
+      List.iter
+        (fun (v, expected) ->
+          Unix.putenv var v;
+          Alcotest.(check bool)
+            (Printf.sprintf "%S accepted" v)
+            true
+            (Verify.default () = expected))
+        [ ("", `Off); ("off", `Off); ("sat", `Sat) ];
+      List.iter
+        (fun v ->
+          Unix.putenv var v;
+          match Verify.default () with
+          | _ -> Alcotest.failf "%S: expected Invalid_argument" v
+          | exception Invalid_argument msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%S: message names the accepted values" v)
+              (Printf.sprintf "LOWPOWER_VERIFY=%S: expected sat, off or empty"
+                 v)
+              msg)
+        [ "bdd"; "1"; "SAT" ];
+      (* Passes left at the default read the variable too. *)
+      Unix.putenv var "bdd";
+      expect_invalid_arg "pass under bdd" (fun () ->
+          Balance.balance (Circuits.ripple_adder 2).Circuits.net))
 
 let test_verify_guard_rejects_bad_guard () =
   (* out = a AND b: the gate is always observable, so guarding it with the
@@ -778,6 +814,8 @@ let suite =
     quick "cec interface validation" test_cec_validation;
     quick "cec satisfiable" test_cec_satisfiable;
     quick "verify modes run on passes" test_verify_modes_on_passes;
+    quick "verify rejects unknown LOWPOWER_VERIFY values"
+      test_verify_env_values;
     quick "verify rejects unsound guard" test_verify_guard_rejects_bad_guard;
     quick "verify accepts ODC guard" test_verify_guard_accepts_odc_guard;
     quick "verify precompute obligations" test_verify_precompute;

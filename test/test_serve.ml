@@ -49,21 +49,6 @@ let test_pool_clamp_and_empty () =
   Alcotest.(check (array int)) "empty batch" [||] r;
   Alcotest.(check int) "no jobs" 0 st.Pool.jobs
 
-let test_pool_streaming () =
-  let seen = Array.make 50 false in
-  let lock = Mutex.create () in
-  let _, _ =
-    Pool.map ~domains:2
-      ~on_result:(fun i r ->
-        Mutex.lock lock;
-        if r = 2 * i then seen.(i) <- true;
-        Mutex.unlock lock)
-      (fun i -> 2 * i)
-      (Array.init 50 (fun i -> i))
-  in
-  Alcotest.(check bool) "every result streamed with its index" true
-    (Array.for_all (fun b -> b) seen)
-
 exception Boom
 
 let test_pool_exception () =
@@ -75,21 +60,6 @@ let test_pool_exception () =
   | exception Boom -> ()
 
 (* --- Memo --- *)
-
-let test_memo_compiled () =
-  let m = Memo.create () in
-  let net = mk_net 11 in
-  let c1 = Memo.compiled m net in
-  let c2 = Memo.compiled m (Network.copy net) in
-  Alcotest.(check bool) "hit returns the identical artifact" true (c1 == c2);
-  (* Bit-identical to a cold recompute. *)
-  let cold = Compiled.of_network net in
-  let vec = Array.init (Compiled.num_inputs cold) (fun k -> k mod 2 = 0) in
-  Alcotest.(check (array bool)) "compiled hit = cold recompute"
-    (Compiled.eval cold vec) (Compiled.eval c1 vec);
-  let s = Memo.stats m in
-  Alcotest.(check int) "one miss" 1 s.Memo.misses;
-  Alcotest.(check int) "one hit" 1 s.Memo.hits
 
 let test_memo_cone_probs () =
   let m = Memo.create () in
@@ -188,7 +158,10 @@ let test_memo_cec_prover_raises () =
 let test_memo_eviction () =
   let m = Memo.create ~capacity:4 () in
   for seed = 1 to 12 do
-    ignore (Memo.compiled m (mk_net (100 + seed)))
+    let net = mk_net (100 + seed) in
+    ignore
+      (Memo.cone_probabilities m net
+         ~input_probs:(Probability.uniform_inputs net))
   done;
   let s = Memo.stats m in
   Alcotest.(check bool) "evictions happened" true (s.Memo.evictions > 0);
@@ -441,9 +414,7 @@ let suite =
     quick "pool basic map" test_pool_basic;
     quick "pool determinism 1 vs N domains" test_pool_determinism;
     quick "pool clamping and empty batch" test_pool_clamp_and_empty;
-    quick "pool result streaming" test_pool_streaming;
     quick "pool exception propagation" test_pool_exception;
-    quick "memo compiled form" test_memo_compiled;
     quick "memo cone probabilities" test_memo_cone_probs;
     quick "memo cec verdicts" test_memo_cec;
     quick "memo cec verdict independent of prover order" test_memo_cec_prover_order;

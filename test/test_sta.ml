@@ -1,5 +1,5 @@
-(* Differential tests for the incremental timing engine (Sta vs its own
-   full-recompute oracle and vs a naive Hashtbl propagation), the
+(* Differential tests for the incremental timing engine (Sta vs a fresh
+   engine's full pass and vs a naive Hashtbl propagation), the
    Vth-aware leakage model, the sized/Vth techlib variants, and the
    Dualvth sizing loop's invariants. *)
 
@@ -7,7 +7,7 @@ open Test_util
 
 module P = Lowpower.Power_model
 
-(* ---- Sta: incremental vs full, float-exact -------------------------- *)
+(* ---- Sta: incremental vs a fresh engine, float-exact ---------------- *)
 
 let gen_net seed ~gates =
   Gen_comb.random
@@ -28,6 +28,11 @@ let arrays_equal name a b =
   if not (Array.length a = Array.length b && Array.for_all2 ( = ) a b) then
     Alcotest.failf "%s: incremental and full arrays differ" name
 
+(* Requireds are materialized after a random number of the edits (0:
+   before the first), the way Dualvth first runs arrival-only worst_slack
+   trials and materializes on its first slack query.  After every edit
+   the engine must equal a fresh engine over the edited delays: arrivals
+   always, requireds once materialized. *)
 let test_incremental_matches_full =
   prop ~count:120 "incremental = full over random resize sequences"
     QCheck2.Gen.(int_bound 10_000)
@@ -37,23 +42,34 @@ let test_incremental_matches_full =
       let g = Network.timing_graph net in
       let delays = delays_of net g in
       let required = 1.25 *. Network.critical_delay net in
-      let sta = Sta.create ~mode:Sta.Incremental ~required g delays in
-      ignore (Sta.required_array sta);
+      let sta = Sta.create ~required g delays in
+      let edits = 20 in
+      let materialize_at = Lowpower.Rng.int r edits in
       let live = Array.of_list (Network.node_ids net) in
-      for _ = 1 to 20 do
-        let x = live.(Lowpower.Rng.int r (Array.length live)) in
-        Sta.set_delay sta x (random_delay r);
-        delays.(x) <- Sta.delay sta x
+      let ok = ref true in
+      for k = 0 to edits do
+        if k > 0 then begin
+          let x = live.(Lowpower.Rng.int r (Array.length live)) in
+          Sta.set_delay sta x (random_delay r);
+          delays.(x) <- Sta.delay sta x
+        end;
+        if k = materialize_at then ignore (Sta.required_array sta);
+        let fresh = Sta.create ~required g delays in
+        arrays_equal
+          (Printf.sprintf "arrivals after edit %d" k)
+          (Sta.arrival_array fresh) (Sta.arrival_array sta);
+        if k >= materialize_at then
+          arrays_equal
+            (Printf.sprintf "requireds after edit %d" k)
+            (Sta.required_array fresh) (Sta.required_array sta);
+        (* worst_slack avoids materializing requireds; it must still agree
+           exactly with the slack of the latest sink. *)
+        ok :=
+          !ok
+          && Sta.worst_slack sta
+             = Sta.required_limit sta -. Sta.critical_delay sta
       done;
-      let oracle = Sta.create ~mode:Sta.Full ~required g delays in
-      arrays_equal "arrivals" (Sta.arrival_array oracle)
-        (Sta.arrival_array sta);
-      arrays_equal "requireds" (Sta.required_array oracle)
-        (Sta.required_array sta);
-      (* worst_slack avoids materializing requireds; it must still agree
-         exactly with the slack of the latest sink. *)
-      Sta.worst_slack sta = Sta.required_limit sta -. Sta.critical_delay sta
-      && Sta.mode sta = Sta.Incremental)
+      !ok)
 
 let test_revert_exactness () =
   let net = gen_net 77 ~gates:120 in
@@ -79,7 +95,7 @@ let test_revert_exactness () =
 let test_lazy_required_materialization () =
   let net = gen_net 5 ~gates:60 in
   let g = Network.timing_graph net in
-  let sta = Sta.create ~mode:Sta.Incremental g (delays_of net g) in
+  let sta = Sta.create g (delays_of net g) in
   let st = Sta.stats sta in
   Alcotest.(check int) "creation = one forward pass" 1 st.Sta.full_passes;
   let x =
