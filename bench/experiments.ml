@@ -1286,9 +1286,9 @@ let e24_measured_feedback () =
   T.note t
     (Printf.sprintf
        "engine: %d candidate installs re-measured in %d incremental node \
-        visits / %d word evals, %d full passes (create + oracle mode only)"
+        visits / %d word evals"
        r.Resynth.sim.Actsim.updates r.Resynth.sim.Actsim.node_visits
-       r.Resynth.sim.Actsim.word_evals r.Resynth.sim.Actsim.full_passes);
+       r.Resynth.sim.Actsim.word_evals);
   let a = Annotation.measure net ~trace in
   let bdd_nodes order =
     let man =

@@ -423,8 +423,7 @@ let annotate_run circuit width seed trace_length white_noise top =
     (bdd_size None)
     (bdd_size (Some (Annotation.bdd_input_order a)));
   let st = Actsim.stats sim in
-  Printf.printf "engine: %d full passes, %d word evaluations\n"
-    st.Actsim.full_passes st.Actsim.word_evals
+  Printf.printf "engine: %d word evaluations\n" st.Actsim.word_evals
 
 let annotate_cmd =
   let trace_length =

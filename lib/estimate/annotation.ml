@@ -78,36 +78,3 @@ let bdd_input_order a =
       if c1 <> c2 then compare c2 c1 else compare k1 k2)
     order;
   order
-
-(* Same SplitMix64-style finisher as Network.structural_hash (constants
-   truncated to OCaml's 63-bit native int), local so the estimate layer
-   does not grow a dependency for three lines of mixing. *)
-let mix z =
-  let z = (z * 0x1E3779B97F4A7C15) + 0x165667B19E3779F9 in
-  let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 31)) * 0x27D4EB2F165667C5 in
-  (z lxor (z lsr 30)) land max_int
-
-let combine h x = mix ((h * 0x100000001B3) lxor x)
-
-let trace_fingerprint trace =
-  let width = match trace with [] -> 0 | v :: _ -> Array.length v in
-  let h = ref (combine (mix width) (List.length trace)) in
-  (* Pack the bit stream 62 per word so the hash touches every bit while
-     mixing once per word, not once per bit. *)
-  let word = ref 0 and fill = ref 0 in
-  List.iter
-    (fun vec ->
-      Array.iter
-        (fun b ->
-          if b then word := !word lor (1 lsl !fill);
-          incr fill;
-          if !fill = 62 then begin
-            h := combine !h !word;
-            word := 0;
-            fill := 0
-          end)
-        vec)
-    trace;
-  if !fill > 0 then h := combine !h !word;
-  !h

@@ -12,9 +12,8 @@
     input probabilities, toggle-ranked orders for BDD sifting and gating
     candidate selection.
 
-    Annotations are immutable snapshots (caps included), so they can be
-    cached content-addressed by [Network.structural_hash] plus
-    {!trace_fingerprint} and shared on hit (see [Memo.activity]). *)
+    Annotations are immutable snapshots (caps included): later edits to
+    the network or the engine leave them unchanged. *)
 
 type t
 
@@ -52,8 +51,7 @@ val input_probs : t -> float array
 val switched_capacitance : t -> float
 (** [(sum_n cap(n) * toggles(n)) / (cycles - 1)] in ascending id order,
     caps as snapshotted — bit-identical to
-    {!Actsim.switched_capacitance} at snapshot time, which keeps memoized
-    and freshly measured tournament scores interchangeable. *)
+    {!Actsim.switched_capacitance} at snapshot time. *)
 
 val ranked : t -> (Network.id * int) list
 (** Nodes by measured toggles, most active first (ties by ascending id) —
@@ -63,7 +61,3 @@ val bdd_input_order : t -> int array
 (** Input positions sorted by measured input toggles, most active first
     (ties by position) — a seed order for {!Bdd.manager} putting the
     hottest variables near the root, for {!Bdd.reorder} to polish. *)
-
-val trace_fingerprint : Stimulus.t -> int
-(** Content hash of a stimulus (width, length, every bit; order-sensitive),
-    for keying cached annotations alongside [Network.structural_hash]. *)

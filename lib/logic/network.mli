@@ -116,7 +116,7 @@ val structural_hash : t -> int
     Any structural or annotation change — a flipped local function, a
     rewired fanin, an edited delay, cap or leak, a redirected or renamed
     output — changes the hash (up to 63-bit collisions, which the
-    content-addressed caches in [lib/serve] rely on being negligible). *)
+    proof cache in [lib/serve] relies on being negligible). *)
 
 (** {1 Metrics} *)
 

@@ -15,27 +15,18 @@
 
 type model = Toggles | Independence | Area
 
-val fingerprint :
-  ?inputs:string list -> model -> (string * int) list list -> int
-(** Content hash of everything besides the graph that determines the
-    cost: model tag, forced input set, and the full word trace — the
-    second half of the [Memo.dfg_activity] key. *)
-
 val of_network :
   ?model:model -> Network.t -> trace:(string * int) list list -> float
 (** Cost an already-elaborated netlist.  Raises [Invalid_argument] on an
     empty trace (except under {!Area}, which ignores it). *)
 
 val of_dfg :
-  ?memo:Memo.t ->
   ?model:model ->
   ?inputs:string list ->
   Dfg.t ->
   trace:(string * int) list list ->
   float
-(** Elaborate and cost a DFG; with [memo], the scalar is cached under
-    [Dfg.structural_hash] + {!fingerprint} ([Memo.dfg_activity]), so
-    re-costing a duplicate candidate is a table lookup.  [inputs] is
-    passed through to {!Elaborate.to_network} — the search pins it to
-    the original graph's input set so every candidate is costed over
-    identical input positions. *)
+(** Elaborate and cost a DFG.  [inputs] is passed through to
+    {!Elaborate.to_network} — the search pins it to the original graph's
+    input set so every candidate is costed over identical input
+    positions. *)

@@ -1,6 +1,6 @@
 (* Deterministic greedy rewrite search.  Each step enumerates every
    (rule, site) application to the current graph, costs the candidates
-   (memo-cached; graphs seen before pruned by [Dfg.structural_hash]), and
+   (graphs seen before pruned by [Dfg.structural_hash]), and
    moves to the cheapest one that passes the two-stage equivalence gate:
    [Transform.equivalent] random execution first (the cheap filter), then
    [Cec.session_check] against a session on the current graph's
@@ -53,7 +53,7 @@ let run ?(rules = Rules.all) ?(max_steps = 24) ?(samples = 64) ?memo
      set, so input positions line up for [Cec] and input-pin activity is
      charged identically across candidates. *)
   let inputs = List.sort compare (List.map fst (Dfg.inputs dfg)) in
-  let cost g = Cost.of_dfg ?memo ~model ~inputs g ~trace in
+  let cost g = Cost.of_dfg ~model ~inputs g ~trace in
   let elaborate g = Elaborate.to_network ~inputs g in
   let base_net = elaborate dfg in
   let refuted = ref [] in

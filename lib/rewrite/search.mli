@@ -1,20 +1,20 @@
 (** Deterministic activity-costed greedy rewrite search over {!Rules}.
 
     Each step enumerates every rule application to the current graph,
-    costs the candidates under {!Cost} (graphs seen before pruned and
-    re-costs cached via {!Dfg.structural_hash}), and puts them, cheapest
-    first, through the two-stage equivalence gate: [Transform.equivalent]
-    random execution, then [Cec.session_check] against one incremental
-    session on the current graph's elaboration, opened lazily once per
-    step.  The search moves to the first candidate proved.  Proofs are
-    relative to the current graph — itself already proven, so
-    transitivity closes the chain to the original — and the session's
-    SAT sweep merges every cone the one new rewrite left untouched, so
-    only the rewritten logic reaches the solver however deep the search
-    runs.  Rewrites failing either stage are reported as {!refutation}s
-    and never applied; rewrites the per-check conflict budget leaves
-    undecided are skipped (counted, not refuted).  The search is
-    deterministic for a given rng seed. *)
+    costs the candidates under {!Cost} (graphs seen before pruned via
+    {!Dfg.structural_hash}, so each graph is costed once), and puts them,
+    cheapest first, through the two-stage equivalence gate:
+    [Transform.equivalent] random execution, then [Cec.session_check]
+    against one incremental session on the current graph's elaboration,
+    opened lazily once per step.  The search moves to the first
+    candidate proved.  Proofs are relative to the current graph — itself
+    already proven, so transitivity closes the chain to the original —
+    and the session's SAT sweep merges every cone the one new rewrite
+    left untouched, so only the rewritten logic reaches the solver
+    however deep the search runs.  Rewrites failing either stage are
+    reported as {!refutation}s and never applied; rewrites the per-check
+    conflict budget leaves undecided are skipped (counted, not refuted).
+    The search is deterministic for a given rng seed. *)
 
 type refutation = {
   rule : string;
@@ -59,5 +59,5 @@ val run :
     which rejects a negative count with [Invalid_argument]; each
     output-miter solve may spend 60000 conflicts — a candidate left
     undecided is skipped, never applied and never memoized; [memo]
-    caches candidate costs and CEC verdicts across and within runs;
+    caches CEC verdicts across and within runs;
     [model] defaults to [Cost.Toggles]. *)

@@ -188,9 +188,10 @@ let satisfiable net name =
 (* ------------------------------------------------------------------ *)
 
 (* What [session_encode] sweeps operands onto, built on its first call
-   so sessions that only discharge never-true obligations pay nothing.
-   Every target is a base literal: its clauses are permanent, so a merge
-   never outlives the clauses that justify it. *)
+   so a session whose every check is answered elsewhere (a tournament
+   whose candidates all hit the proof cache) pays nothing for it.  Every
+   target is a base literal: its clauses are permanent, so a merge never
+   outlives the clauses that justify it. *)
 type sweep = {
   words : int array array;  (* per simulation round, one word per input *)
   own : (Network.id, Expr.t * Solver.lit array) Hashtbl.t;
@@ -228,64 +229,6 @@ let fresh_activation sess =
   let act = Solver.pos (Solver.new_var sess.s) in
   Solver.freeze sess.s (Solver.var_of act);
   act
-
-(* A proof-obligation network built by [Network.copy base] plus added
-   nodes shares the base's node ids; encode only the suffix, checking
-   that every shared id really is unchanged so a session is never applied
-   to an unrelated network. *)
-let extend_base sess ob act =
-  if Network.inputs ob <> Network.inputs sess.base then
-    invalid_arg "Cec.session: obligation inputs differ from session base";
-  let overlay = Hashtbl.create 64 in
-  let lit_of i =
-    match Hashtbl.find_opt overlay i with
-    | Some l -> l
-    | None -> Cnf.lit_of_node sess.env i
-  in
-  List.iter
-    (fun i ->
-      if Network.mem sess.base i then begin
-        if
-          (not (Network.is_input ob i))
-          && (Network.func ob i <> Network.func sess.base i
-             || Network.fanins ob i <> Network.fanins sess.base i)
-        then
-          invalid_arg "Cec.session: obligation does not extend session base"
-      end
-      else begin
-        let fanins = Array.of_list (List.map lit_of (Network.fanins ob i)) in
-        let l =
-          Cnf.lit_of_expr ~activation:act sess.s
-            ~leaf:(fun v -> fanins.(v))
-            (Network.func ob i)
-        in
-        Hashtbl.replace overlay i l
-      end)
-    (Network.topo_order ob);
-  lit_of
-
-let session_never_true sess ob out =
-  let o =
-    match List.assoc_opt out (Network.outputs ob) with
-    | Some o -> o
-    | None -> invalid_arg "Cec.session_never_true: unknown output"
-  in
-  let act = fresh_activation sess in
-  let lit_of = extend_base sess ob act in
-  let l = lit_of o in
-  let verdict = Solver.solve ~assumptions:[ act; l ] sess.s in
-  let r =
-    match verdict with
-    | Solver.Unsat -> None
-    | Solver.Sat ->
-      let vec =
-        Array.map (fun l -> Solver.lit_true sess.s l) sess.env.Cnf.inputs
-      in
-      if List.assoc out (Network.eval_outputs ob vec) then Some vec
-      else failwith "Cec.session_never_true: witness failed network replay"
-  in
-  retire sess act;
-  r
 
 type handle = {
   h_net : Network.t;

@@ -15,12 +15,12 @@
     confirmed by an independent evaluator.
 
     {e Sessions} ({!session}) keep one live solver holding the Tseitin
-    encoding of a base network and discharge a stream of obligations
-    against it — each obligation adds only clauses guarded by an
-    activation literal that is assumed during its check and retired (unit
-    negated, then reclaimed by {!Solver.simplify}) afterwards, so learned
-    clauses accumulate across obligations instead of being rebuilt.
-    Equivalence obligations ({!session_check}) are {e SAT-swept} onto the
+    encoding of a base network and check a stream of operands for
+    equivalence against it ({!session_check}) — each operand adds only
+    clauses guarded by an activation literal that is assumed during its
+    check and retired (unit negated, then reclaimed by
+    {!Solver.simplify}) afterwards, so learned clauses accumulate across
+    checks instead of being rebuilt.  Operands are {e SAT-swept} onto the
     base encoding: a node that matches a base node structurally, or that
     a short local proof shows equal to a base node with the same
     simulation signature, reuses the base literal, so only outputs the
@@ -85,18 +85,6 @@ val session : Network.t -> session
     session reuse its input literals, node literals and every clause
     learned by earlier checks. *)
 
-val session_never_true : session -> Network.t -> string -> bool array option
-(** [session_never_true sess ob out]: decide whether the named output of
-    [ob] — a network built by [Network.copy base] plus added nodes, as
-    the {!Guard}/{!Precompute} obligation builders produce — can be
-    driven to 1.  Only the suffix of [ob] (nodes absent from the base) is
-    encoded, under a fresh activation literal retired after the check.
-    Returns the witness vector, or [None] when the output is constant
-    false.  Raises [Invalid_argument] when [ob] does not structurally
-    extend the session's base (shared node ids must carry identical
-    functions and fanins), and [Failure] if a SAT witness fails replay
-    through {!Network.eval_outputs}. *)
-
 val session_check : ?conflicts:int -> session -> Network.t -> outcome
 (** [session_check sess other]: decide whether [other] computes the
     base's outputs — {!session_encode}, {!session_recheck}, then
@@ -127,8 +115,8 @@ val session_encode : session -> Network.t -> handle
     base's get a miter.  So this call runs the solver (the local proofs)
     and grows the session's learned clauses; the first call also builds
     the base's signatures and lookup tables and freezes the base's node
-    variables, which sessions used only for {!session_never_true} never
-    do.  Raises [Invalid_argument] as {!check}. *)
+    variables, so a session that never encodes an operand never pays for
+    them.  Raises [Invalid_argument] as {!check}. *)
 
 val session_recheck : ?conflicts:int -> session -> handle -> outcome
 (** The handle's verdict: its simulation counterexample if it has one,

@@ -61,12 +61,10 @@ let input_lits ?inputs s n =
       invalid_arg "Cnf: input literal count mismatch";
     arr
 
-let freeze_boundary ?activation s input_arr out_lits =
-  Array.iter (fun l -> Solver.freeze s (Solver.var_of l)) input_arr;
-  List.iter (fun l -> Solver.freeze s (Solver.var_of l)) out_lits;
-  Option.iter (fun act -> Solver.freeze s (Solver.var_of act)) activation
-
-let add_network ?inputs ?activation s net =
+(* Every boundary variable — primary inputs and output literals — is
+   frozen, so preprocessing-by-elimination never removes a variable that
+   later clauses, assumptions or model queries mention. *)
+let add_network ?inputs s net =
   let ins = Network.inputs net in
   let input_arr = input_lits ?inputs s (List.length ins) in
   let nodes = Hashtbl.create 256 in
@@ -79,34 +77,16 @@ let add_network ?inputs ?activation s net =
             (List.map (fun j -> Hashtbl.find nodes j) (Network.fanins net i))
         in
         let l =
-          lit_of_expr ?activation s
-            ~leaf:(fun v -> fanins.(v))
-            (Network.func net i)
+          lit_of_expr s ~leaf:(fun v -> fanins.(v)) (Network.func net i)
         in
         Hashtbl.replace nodes i l
       end)
     (Network.topo_order net);
-  freeze_boundary ?activation s input_arr
-    (List.map (fun (_, o) -> Hashtbl.find nodes o) (Network.outputs net));
+  Array.iter (fun l -> Solver.freeze s (Solver.var_of l)) input_arr;
+  List.iter
+    (fun (_, o) -> Solver.freeze s (Solver.var_of (Hashtbl.find nodes o)))
+    (Network.outputs net);
   { net; inputs = input_arr; nodes }
-
-let add_compiled ?inputs ?activation s c =
-  let input_arr = input_lits ?inputs s (Compiled.num_inputs c) in
-  let lits = Array.make (Compiled.size c) 0 in
-  Array.iteri (fun k x -> lits.(x) <- input_arr.(k)) (Compiled.inputs c);
-  Array.iter
-    (fun x ->
-      if not (Compiled.is_input c x) then begin
-        let fanins = Compiled.fanins c x in
-        lits.(x) <-
-          lit_of_expr ?activation s
-            ~leaf:(fun v -> lits.(fanins.(v)))
-            (Compiled.local_func c x)
-      end)
-    (Compiled.topo c);
-  freeze_boundary ?activation s input_arr
-    (Array.to_list (Array.map (fun (_, x) -> lits.(x)) (Compiled.outputs c)));
-  lits
 
 let lit_of_node env i = Hashtbl.find env.nodes i
 

@@ -6,15 +6,15 @@
     networks into one solver over {e shared} input literals (the
     [?inputs] argument) is the miter construction {!Cec} builds on.
 
-    Encodings can be made {e retirable}: with [?activation] every emitted
-    clause carries the negated activation literal, so the whole encoding
-    is inert unless the activation is assumed true, and is permanently
-    retired by the unit clause [¬act] (then physically reclaimed by
-    {!Solver.simplify}).  This is how {!Cec} sessions discharge a stream
-    of proof obligations in one live solver.  The encoders freeze every
-    boundary variable — primary inputs, output literals and the
-    activation — so preprocessing-by-elimination never removes a variable
-    later clauses, assumptions or model queries mention. *)
+    Expression encodings can be made {e retirable}: with [?activation]
+    every emitted clause carries the negated activation literal, so the
+    encoding is inert unless the activation is assumed true, and is
+    permanently retired by the unit clause [¬act] (then physically
+    reclaimed by {!Solver.simplify}).  This is how {!Cec} sessions check
+    a stream of operands in one live solver.  {!add_network} freezes
+    every boundary variable — primary inputs and output literals — so
+    preprocessing-by-elimination never removes a variable later clauses,
+    assumptions or model queries mention. *)
 
 type env = {
   net : Network.t;
@@ -32,24 +32,10 @@ val lit_of_expr :
     Returns a literal constrained (by the added clauses) to equal the
     expression's value — conditionally on [activation] when given. *)
 
-val add_network :
-  ?inputs:Solver.lit array ->
-  ?activation:Solver.lit ->
-  Solver.t ->
-  Network.t ->
-  env
+val add_network : ?inputs:Solver.lit array -> Solver.t -> Network.t -> env
 (** Encode every node of a network.  Fresh input variables are allocated
     unless [inputs] supplies existing literals (length must match the
     input count; raises [Invalid_argument] otherwise). *)
-
-val add_compiled :
-  ?inputs:Solver.lit array ->
-  ?activation:Solver.lit ->
-  Solver.t ->
-  Compiled.t ->
-  Solver.lit array
-(** Encode a compiled snapshot; returns the literal of every node by
-    compact index ({!Compiled.local_func} supplies the node functions). *)
 
 val lit_of_node : env -> Network.id -> Solver.lit
 (** Raises [Not_found] on an id absent from the encoded network. *)

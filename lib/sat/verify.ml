@@ -12,18 +12,6 @@ let default () : mode =
 
 let resolve = function Some m -> m | None -> default ()
 
-type session = { base : Network.t; mutable cec : Cec.session option }
-
-let session net = { base = net; cec = None }
-
-let cec_session sess =
-  match sess.cec with
-  | Some c -> c
-  | None ->
-    let c = Cec.session sess.base in
-    sess.cec <- Some c;
-    c
-
 let vec_to_string vec =
   String.init (Array.length vec) (fun i -> if vec.(i) then '1' else '0')
 
@@ -42,15 +30,10 @@ let equivalent ?mode ~pass before after =
     | Cec.Counterexample vec ->
       fail pass "pass changed circuit behaviour" vec)
 
-let never_true ?mode ?session ~pass net out =
+let never_true ?mode ~pass net out =
   match resolve mode with
   | `Off -> ()
   | `Sat -> (
-    let witness =
-      match session with
-      | Some sess -> Cec.session_never_true (cec_session sess) net out
-      | None -> Cec.satisfiable net out
-    in
-    match witness with
+    match Cec.satisfiable net out with
     | None -> ()
     | Some vec -> fail pass ("obligation output " ^ out ^ " is satisfiable") vec)

@@ -6,7 +6,7 @@
     violation output) and hands it here.  [`Sat] discharges through
     {!Cec} (random simulation + CDCL), [`Off] skips the check.
 
-    The session default comes from the [LOWPOWER_VERIFY] environment
+    The process-wide default comes from the [LOWPOWER_VERIFY] environment
     variable ("sat" means [`Sat]; unset, empty or "off" means [`Off]),
     so a CI run can force verification across the whole test suite
     without touching call sites. *)
@@ -26,28 +26,14 @@ val resolve : mode option -> mode
 (** [resolve m] is the explicit mode when given, else {!default} — the
     shared dispatch every [?verify]-taking pass funnels through. *)
 
-type session
-(** Amortization handle for a stream of obligations over one base
-    network: under [`Sat] the obligations share one live {!Cec.session}
-    (created lazily at the first discharged check, so a session costs
-    nothing under [`Off]). *)
-
-val session : Network.t -> session
-(** A verification session rooted at the given network.  Pass it as
-    [?session] to the [?verify]-taking passes that build obligations by
-    extending a copy of this exact network ({!Guard.apply},
-    {!Precompute.build}). *)
-
 val equivalent : ?mode:mode -> pass:string -> Network.t -> Network.t -> unit
 (** [equivalent ~pass before after] checks that the two networks compute
     the same function on every equally-named output.  Raises {!Failed}
     naming [pass] on a mismatch; does nothing under [`Off]. *)
 
-val never_true :
-  ?mode:mode -> ?session:session -> pass:string -> Network.t -> string -> unit
+val never_true : ?mode:mode -> pass:string -> Network.t -> string -> unit
 (** [never_true ~pass net out] checks that the named output is the
     constant-false function — the shape of the guard/precompute safety
-    obligations.  With [session] (and mode [`Sat]) the obligation is
-    discharged incrementally through {!Cec.session_never_true}; [net]
-    must then extend the session's base network.  Raises {!Failed}
-    naming [pass] if some input vector drives it to 1. *)
+    obligations — by one {!Cec.satisfiable} solve.  Raises {!Failed}
+    naming [pass] if some input vector drives it to 1; does nothing
+    under [`Off]. *)

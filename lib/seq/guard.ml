@@ -126,11 +126,11 @@ let obligation net0 ~root ~guard =
   Network.set_output t "__guard_violation" violation;
   t
 
-let apply ?verify ?session net0 ~root ~guard =
+let apply ?verify net0 ~root ~guard =
   if Network.is_input net0 root then invalid_arg "Guard.apply: input root";
   (let mode = Verify.resolve verify in
    if mode <> `Off then
-     Verify.never_true ~mode ?session ~pass:"Guard.apply"
+     Verify.never_true ~mode ~pass:"Guard.apply"
        (obligation net0 ~root ~guard)
        "__guard_violation");
   let net = Network.copy net0 in
@@ -193,11 +193,11 @@ let rank_roots net ~score =
   |> List.sort (fun (i1, m1) (i2, m2) ->
          if m1 <> m2 then compare m2 m1 else compare i1 i2)
 
-let auto ?verify ?session net ~root =
+let auto ?verify net ~root =
   let odc = observability_condition net root in
   match odc with
   | Expr.Const false -> None
-  | guard -> Some (apply ?verify ?session net ~root ~guard)
+  | guard -> Some (apply ?verify net ~root ~guard)
 
 let equivalent g net ~stimulus =
   let stats = Seq_circuit.simulate g.circuit stimulus in

@@ -19,14 +19,6 @@ val observability_condition : Network.t -> Network.id -> Expr.t
     Raises [Invalid_argument] on an input node or networks with more than
     18 primary inputs (two-level tabulation bound). *)
 
-val obligation : Network.t -> root:Network.id -> guard:Expr.t -> Network.t
-(** The safety proof obligation {!apply} discharges: a copy of the network
-    extended with the root's fanout cone re-instantiated under a flipped
-    root, the pairwise output differences, and the conjunction with the
-    guard as the output ["__guard_violation"] — constant false iff the
-    guard implies the root's ODC.  Built by [Network.copy], so it extends
-    the original network in the sense {!Cec.session_never_true} requires. *)
-
 type guarded = {
   circuit : Seq_circuit.t;
   root : Network.id;            (** the guarded cone's root in the original net *)
@@ -36,8 +28,8 @@ type guarded = {
 }
 
 val apply :
-  ?verify:Verify.mode -> ?session:Verify.session -> Network.t
-  -> root:Network.id -> guard:Expr.t -> guarded
+  ?verify:Verify.mode -> Network.t -> root:Network.id -> guard:Expr.t
+  -> guarded
 (** Build the guarded design: transparent latches on the boundary of
     [root]'s maximum fanout-free cone (the whole subcircuit that feeds
     only [root]), passing when [guard] is false — so the entire cone stops
@@ -53,10 +45,7 @@ val apply :
     [verify] (default {!Verify.default}) discharges the safety obligation
     — guard AND (an output changes when the root is flipped) is
     unsatisfiable — and raises {!Verify.Failed} when [guard] does not
-    imply the root's ODC.  [session] (a {!Verify.session} rooted at this
-    exact network) lets a sweep of [apply] calls over many roots share
-    one incremental solver instead of re-encoding the network per
-    obligation. *)
+    imply the root's ODC. *)
 
 val rank_roots :
   Network.t -> score:(Network.id -> float) -> (Network.id * float) list
@@ -69,8 +58,7 @@ val rank_roots :
     of the measured feedback loop applied to guard selection. *)
 
 val auto :
-  ?verify:Verify.mode -> ?session:Verify.session -> Network.t
-  -> root:Network.id -> guarded option
+  ?verify:Verify.mode -> Network.t -> root:Network.id -> guarded option
 (** {!apply} with the exact ODC as guard; [None] when the ODC is constant
     false (the node is always observable — nothing to gain). *)
 

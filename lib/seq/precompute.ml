@@ -95,13 +95,13 @@ let obligation net0 ~output ~keep =
   Network.set_output t "__precompute_violation" violation;
   t
 
-let build ?verify ?session net0 ~output ~keep ?(ff_clock_cap = 2.0) () =
+let build ?verify net0 ~output ~keep ?(ff_clock_cap = 2.0) () =
   (match List.assoc_opt output (Network.outputs net0) with
   | Some _ -> ()
   | None -> invalid_arg "Precompute.build: unknown output");
   (let mode = Verify.resolve verify in
    if mode <> `Off then
-     Verify.never_true ~mode ?session ~pass:"Precompute.build"
+     Verify.never_true ~mode ~pass:"Precompute.build"
        (obligation net0 ~output ~keep)
        "__precompute_violation");
   let keep_pos = List.map (Network.input_index net0) keep in

@@ -49,8 +49,7 @@ type architecture = {
 }
 
 val build :
-  ?verify:Verify.mode -> ?session:Verify.session -> Network.t
-  -> output:string -> keep:Network.id list
+  ?verify:Verify.mode -> Network.t -> output:string -> keep:Network.id list
   -> ?ff_clock_cap:float -> unit -> architecture
 (** Wrap a combinational block into the two competing sequential designs.
     In the precomputed design the output is corrected with a multiplexer:
@@ -59,9 +58,7 @@ val build :
     they were frozen — the Fig. 1 argument.  [verify] (default
     {!Verify.default}) discharges the predictor obligations — [g1] forces
     the output to 1 and [g0] to 0 on every input vector — and raises
-    {!Verify.Failed} otherwise.  [session] (a {!Verify.session} rooted at
-    this exact network) shares one incremental solver across a sweep of
-    [build] calls over different outputs or [keep] sets. *)
+    {!Verify.Failed} otherwise. *)
 
 val equivalent :
   architecture -> stimulus:Stimulus.t -> bool

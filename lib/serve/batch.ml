@@ -64,7 +64,12 @@ type report = {
 
 let execute memo = function
   | Estimate { label; net; input_probs } ->
-    let probs = Memo.cone_probabilities memo net ~input_probs in
+    let exact = Probability.exact net ~input_probs in
+    let probs =
+      Array.of_list
+        (List.map (fun (name, o) -> (name, Hashtbl.find exact o))
+           (Network.outputs net))
+    in
     let act = Activity.zero_delay ~exact:false net ~input_probs in
     ( label,
       Estimated { probs; switched_cap = Activity.switched_capacitance net act }

@@ -1,6 +1,6 @@
 (** Batch synthesis service: heterogeneous job lists over the
-    work-stealing {!Pool} with a shared {!Memo} cache (BDD cone
-    probabilities, CEC verdicts and measured-activity annotations).
+    work-stealing {!Pool} with a shared {!Memo} cache of proved
+    equivalences.
 
     A job is a self-contained unit of toolkit work — estimate a network's
     output statistics, race an optimization tournament, prove a pair
@@ -13,8 +13,8 @@
 
 type job =
   | Estimate of { label : string; net : Network.t; input_probs : float array }
-      (** exact per-output signal probabilities (global BDDs via
-          {!Memo.cone_probabilities}) plus estimated switched
+      (** exact per-output signal probabilities ({!Probability.exact},
+          in output declaration order) plus estimated switched
           capacitance *)
   | Synthesize of { label : string; net : Network.t; trace : Stimulus.t option }
       (** a full {!Tournament.run} over its default roster; [trace]

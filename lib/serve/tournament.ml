@@ -69,22 +69,15 @@ let default_strategies ?input_probs ?trace net =
 
 (* Capacitance-weighted settled toggles per cycle, measured over the
    trace. *)
-let measured_score ?memo net trace =
-  match memo with
-  | Some m ->
-    (* Annotation.switched_capacitance sums cap * count in the same
-       ascending-id order over the same measured counts, so a cache hit
-       scores bit-identically to the direct path below. *)
-    Annotation.switched_capacitance (Memo.activity m net ~trace)
-  | None ->
-    let bs = Bitsim.of_network net in
-    let counts = Bitsim.count_transitions bs trace in
-    let c = Bitsim.compiled bs in
-    let acc = ref 0.0 in
-    Array.iteri
-      (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
-      counts;
-    !acc /. float_of_int (max 1 (List.length trace - 1))
+let measured_score net trace =
+  let bs = Bitsim.of_network net in
+  let counts = Bitsim.count_transitions bs trace in
+  let c = Bitsim.compiled bs in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
+    counts;
+  !acc /. float_of_int (max 1 (List.length trace - 1))
 
 let estimated_score net ~input_probs =
   let act = Activity.zero_delay ~exact:false net ~input_probs in
@@ -103,7 +96,7 @@ let run ?(name = "circuit") ?strategies ?input_probs ?trace ?memo net =
   in
   let score n =
     match trace with
-    | Some tr -> measured_score ?memo n tr
+    | Some tr -> measured_score n tr
     | None -> estimated_score n ~input_probs:probs
   in
   let source_score = score net in

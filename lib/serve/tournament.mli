@@ -89,13 +89,11 @@ val run :
     over the vector stream (per cycle) and the default roster gains the
     [measured] strategy; otherwise by zero-delay activity under
     [input_probs] (the independence estimate).  With [memo], proved
-    equivalences ({!Memo.check_with}) and measured annotations
-    ({!Memo.activity}) are served from / inserted into the shared cache
-    (a cached equivalence skips the session query entirely; a refuted
-    candidate is re-checked every time; a cached annotation scores
-    bit-identically to a fresh measurement).  The source is never
-    mutated.  Raises [Invalid_argument] if no strategy produces a
-    verified candidate (an all-refuted roster — impossible with the
+    equivalences ({!Memo.check_with}) are served from / inserted into
+    the shared cache (a cached equivalence skips the session query
+    entirely; a refuted candidate is re-checked every time).  The source
+    is never mutated.  Raises [Invalid_argument] if no strategy produces
+    a verified candidate (an all-refuted roster — impossible with the
     default roster's [source] entry). *)
 
 (** {1 FSM encoding tournaments}

@@ -17,7 +17,6 @@
      after all its dirty predecessors. *)
 
 type stats = {
-  full_passes : int;
   updates : int;
   node_visits : int;
   word_evals : int;
@@ -270,7 +269,6 @@ let update t id =
 
 let stats t =
   {
-    full_passes = 1 (* creation's; updates only drain dirty cones *);
     updates = t.s_updates;
     node_visits = t.s_visits;
     word_evals = t.s_words;

@@ -27,7 +27,6 @@
 type t
 
 type stats = {
-  full_passes : int;  (** whole-network replays: creation's, so always 1 *)
   updates : int;  (** {!update} calls that reached the engine *)
   node_visits : int;  (** nodes popped off the incremental worklist *)
   word_evals : int;  (** node-block word evaluations performed *)

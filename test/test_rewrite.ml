@@ -1,5 +1,5 @@
-(* lib/rewrite: rule soundness, elaboration bit-exactness, cost models,
-   memoized costing, and the SAT-gated search. *)
+(* lib/rewrite: rule soundness, elaboration bit-exactness, cost models
+   and the SAT-gated search. *)
 
 open Test_util
 
@@ -212,28 +212,6 @@ let test_cost_models () =
   Alcotest.(check bool) "toggles trace-sensitive" true (toggles <> toggles2);
   check_close "area trace-blind" area
     (Cost.of_dfg ~model:Cost.Area dfg ~trace:trace2)
-
-let test_cost_memoized () =
-  let r = rng () in
-  let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in
-  let trace = trace_for r dfg ~n:30 in
-  let memo = Memo.create () in
-  let cold = Cost.of_dfg ~memo ~model:Cost.Toggles dfg ~trace in
-  let before = (Memo.stats memo).Memo.hits in
-  let warm = Cost.of_dfg ~memo ~model:Cost.Toggles dfg ~trace in
-  check_close "hit is bit-identical" cold warm;
-  Alcotest.(check bool) "second call hit" true
-    ((Memo.stats memo).Memo.hits > before);
-  (* a different trace or model is a different entry *)
-  let trace2 = trace_for r dfg ~n:30 in
-  let other = Cost.of_dfg ~memo ~model:Cost.Toggles dfg ~trace:trace2 in
-  ignore other;
-  let misses = (Memo.stats memo).Memo.misses in
-  Alcotest.(check bool) "distinct fingerprint missed" true (misses >= 2);
-  Alcotest.(check bool) "fingerprints differ" true
-    (Cost.fingerprint Cost.Toggles trace <> Cost.fingerprint Cost.Toggles trace2);
-  Alcotest.(check bool) "model tag fingerprinted" true
-    (Cost.fingerprint Cost.Toggles trace <> Cost.fingerprint Cost.Area trace)
 
 let test_search_reduces_fir () =
   let r = rng () in
@@ -468,7 +446,6 @@ let suite =
     quick "elaborate: commute-canonical netlists"
       test_elaborate_canonical_commute;
     quick "cost: three models" test_cost_models;
-    quick "cost: memoized scalar" test_cost_memoized;
     quick "search: reduces FIR toggles, SAT-proved" test_search_reduces_fir;
     quick "search: deterministic" test_search_deterministic;
     quick "search: refutes broken rule" test_search_refutes_broken_rule;

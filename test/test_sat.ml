@@ -148,26 +148,6 @@ let prop_cnf_matches_eval =
                (Network.eval_outputs net vec))
         (List.init 8 Fun.id))
 
-let prop_cnf_compiled_matches_network =
-  prop ~count:40 "compiled encoding equals network encoding" gen_network
-    (fun (_, net) ->
-      let s = Solver.create () in
-      let env = Cnf.add_network s net in
-      let c = Compiled.of_network net in
-      let lits = Cnf.add_compiled ~inputs:env.Cnf.inputs s c in
-      (* Same node, two encodings: their XOR must be unsatisfiable. *)
-      List.for_all
-        (fun (nm, o) ->
-          let la = Cnf.lit_of_output env nm in
-          let lb = lits.(Compiled.index_of_id c o) in
-          let m =
-            Cnf.lit_of_expr s
-              ~leaf:(fun v -> if v = 0 then la else lb)
-              Expr.(var 0 ^^^ var 1)
-          in
-          Solver.solve ~assumptions:[ m ] s = Solver.Unsat)
-        (Network.outputs net))
-
 (* --- cec --- *)
 
 let test_cec_adder_chain () =
@@ -525,75 +505,6 @@ let test_cec_session_basic () =
   expect_invalid_arg "recheck after retire" (fun () ->
       Cec.session_recheck sess h)
 
-let test_cec_session_never_true () =
-  let net, _sel = Circuits.mux_compare 4 in
-  let z = List.assoc "z" (Network.outputs net) in
-  let root =
-    match Network.fanins net z with
-    | [ _; _; e ] -> e
-    | _ -> Alcotest.fail "unexpected mux shape"
-  in
-  let sess = Cec.session net in
-  let odc = Guard.observability_condition net root in
-  (* The sound obligation (guard = exact ODC) is unsatisfiable; the unsound
-     one (guard = true on an observable root) has a witness — both against
-     the same live solver, and both agreeing with the one-shot engine. *)
-  let sound = Guard.obligation net ~root ~guard:odc in
-  Alcotest.(check bool) "ODC obligation unsat in session" true
-    (Cec.session_never_true sess sound "__guard_violation" = None);
-  Alcotest.(check bool) "one-shot agrees (unsat)" true
-    (Cec.satisfiable sound "__guard_violation" = None);
-  let unsound = Guard.obligation net ~root ~guard:Expr.tru in
-  (match Cec.session_never_true sess unsound "__guard_violation" with
-  | Some vec ->
-    Alcotest.(check bool) "witness drives the violation output" true
-      (List.assoc "__guard_violation" (Network.eval_outputs unsound vec))
-  | None -> Alcotest.fail "session missed the unsound guard");
-  Alcotest.(check bool) "one-shot agrees (sat)" true
-    (Cec.satisfiable unsound "__guard_violation" <> None);
-  (* An obligation over a foreign network is rejected, not mis-answered. *)
-  let foreign =
-    Guard.obligation
-      (fst (Circuits.mux_compare 5))
-      ~root:
-        (let n, _ = Circuits.mux_compare 5 in
-         List.assoc "z" (Network.outputs n))
-      ~guard:Expr.tru
-  in
-  expect_invalid_arg "foreign obligation rejected" (fun () ->
-      Cec.session_never_true sess foreign "__guard_violation")
-
-let test_verify_session_on_passes () =
-  (* Guard.apply and Precompute.build accept a shared Verify.session: a
-     sweep of obligations over one base network discharges through one
-     incremental solver, with identical accept/reject behaviour. *)
-  let net, _sel = Circuits.mux_compare 4 in
-  let z = List.assoc "z" (Network.outputs net) in
-  let root =
-    match Network.fanins net z with
-    | [ _; _; e ] -> e
-    | _ -> Alcotest.fail "unexpected mux shape"
-  in
-  let session = Verify.session net in
-  ignore (Guard.auto ~verify:`Sat ~session net ~root);
-  (match Guard.apply ~verify:`Sat ~session net ~root ~guard:Expr.tru with
-  | _ -> Alcotest.fail "session accepted an unsound guard"
-  | exception Verify.Failed _ -> ());
-  ignore (Guard.apply ~verify:`Sat ~session net ~root ~guard:Expr.fls);
-  let dp = Circuits.comparator 5 in
-  let keep =
-    [ List.nth dp.Circuits.a_bits 4; List.nth dp.Circuits.b_bits 4 ]
-  in
-  let psession = Verify.session dp.Circuits.net in
-  ignore
-    (Precompute.build ~verify:`Sat ~session:psession dp.Circuits.net
-       ~output:"out0" ~keep ());
-  ignore
-    (Precompute.build ~verify:`Sat ~session:psession dp.Circuits.net
-       ~output:"out0"
-       ~keep:[ List.nth dp.Circuits.a_bits 4 ]
-       ())
-
 (* Acceptance: incremental sessions and the one-shot oracle return
    identical verdicts across 150+ random synthesized nets.  Each net is
    checked in one session against several restructurings — don't-care
@@ -806,7 +717,6 @@ let suite =
     quick "solver pigeonhole + stats" test_solver_pigeonhole;
     prop_solver_vs_brute_force;
     prop_cnf_matches_eval;
-    prop_cnf_compiled_matches_network;
     quick "cec adder8 synthesis chain" test_cec_adder_chain;
     quick "cec factored adder SOPs" test_cec_factor_roundtrip;
     quick "cec precomputed comparator vs plain" test_cec_precomputed_comparator;
@@ -825,8 +735,6 @@ let suite =
     prop_incremental_vs_oneshot;
     quick "cec SAT phase: stats + refutation" test_cec_sat_phase;
     quick "cec session basic lifecycle" test_cec_session_basic;
-    quick "cec session never-true obligations" test_cec_session_never_true;
-    quick "verify sessions on guard/precompute" test_verify_session_on_passes;
     prop_session_agrees_with_oneshot;
     quick "cec session refutes simulation aliases" test_cec_session_aliasing;
     quick "cec session copy costs no search" test_cec_session_copy_is_free;

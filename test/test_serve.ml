@@ -61,31 +61,6 @@ let test_pool_exception () =
 
 (* --- Memo --- *)
 
-let test_memo_cone_probs () =
-  let m = Memo.create () in
-  let net = mk_net 12 in
-  let input_probs =
-    Array.init (List.length (Network.inputs net)) (fun k ->
-        0.1 +. (0.1 *. float_of_int k))
-  in
-  let warm = Memo.cone_probabilities m net ~input_probs in
-  let hit = Memo.cone_probabilities m (Network.copy net) ~input_probs in
-  Alcotest.(check bool) "cone hit shared" true (warm == hit);
-  (* Cold recompute through the public estimator must agree exactly. *)
-  Array.iter
-    (fun (name, p) ->
-      let man = Bdd.manager () in
-      let bdd = Network.output_bdd net man name in
-      check_close ("cone " ^ name) (Bdd.probability man (fun v -> input_probs.(v)) bdd) p)
-    warm;
-  (* Different statistics are a different key, not a stale hit. *)
-  let other =
-    Memo.cone_probabilities m net
-      ~input_probs:(Array.map (fun p -> 1.0 -. p) input_probs)
-  in
-  Alcotest.(check bool) "distinct fingerprint, distinct entry" true
-    (other != warm)
-
 let test_memo_cec () =
   let m = Memo.create () in
   let net = mk_net 13 in
@@ -159,9 +134,7 @@ let test_memo_eviction () =
   let m = Memo.create ~capacity:4 () in
   for seed = 1 to 12 do
     let net = mk_net (100 + seed) in
-    ignore
-      (Memo.cone_probabilities m net
-         ~input_probs:(Probability.uniform_inputs net))
+    ignore (Memo.check m net (Network.copy net))
   done;
   let s = Memo.stats m in
   Alcotest.(check bool) "evictions happened" true (s.Memo.evictions > 0);
@@ -301,29 +274,6 @@ let test_tournament_measured_strategy () =
        (fun c -> c.Tournament.c_strategy <> "measured")
        q.Tournament.candidates)
 
-let test_memo_activity () =
-  let m = Memo.create () in
-  let net = mk_net 28 in
-  let w = List.length (Network.inputs net) in
-  let trace = Stimulus.random (Lowpower.Rng.create 3) ~width:w ~length:100 () in
-  let a1 = Memo.activity m net ~trace in
-  let a2 = Memo.activity m (Network.copy net) ~trace in
-  Alcotest.(check bool) "hit shares the annotation" true (a1 == a2);
-  let s = Memo.stats m in
-  Alcotest.(check int) "one miss" 1 s.Memo.misses;
-  Alcotest.(check int) "one hit" 1 s.Memo.hits;
-  (* A cache hit must score bit-identically to a fresh measurement. *)
-  check_close "hit scores like a fresh measurement"
-    (Annotation.switched_capacitance (Annotation.measure net ~trace))
-    (Annotation.switched_capacitance a1) ~eps:0.0;
-  (* A different trace is a different key, not a stale hit. *)
-  let trace2 =
-    Stimulus.random (Lowpower.Rng.create 4) ~width:w ~length:100 ()
-  in
-  let a3 = Memo.activity m net ~trace:trace2 in
-  Alcotest.(check bool) "different trace misses" true (not (a1 == a3));
-  Alcotest.(check int) "second miss" 2 (Memo.stats m).Memo.misses
-
 let test_tournament_memo_transparent () =
   (* Same tournament with and without a shared cache: identical verdicts
      and scores (cache hits must be invisible). *)
@@ -386,6 +336,37 @@ let test_batch_determinism () =
   Alcotest.(check int) "tournaments all verified"
     parallel.Batch.tournaments parallel.Batch.champions_verified
 
+(* Estimate jobs report each output's exact probability in declaration
+   order: the same floats as a per-output BDD built in its own manager. *)
+let test_batch_estimate_probabilities () =
+  let jobs =
+    Array.init 6 (fun k ->
+        let net = mk_net (40 + k) in
+        let input_probs =
+          Array.init (List.length (Network.inputs net)) (fun i ->
+              0.1 +. (0.13 *. float_of_int ((i + k) mod 7)))
+        in
+        Batch.Estimate { label = string_of_int k; net; input_probs })
+  in
+  let report = Batch.run ~domains:1 jobs in
+  Array.iteri
+    (fun k job ->
+      match (job, snd report.Batch.results.(k)) with
+      | Batch.Estimate { net; input_probs; _ }, Batch.Estimated { probs; _ } ->
+        Alcotest.(check (list string)) "outputs in declaration order"
+          (List.map fst (Network.outputs net))
+          (List.map fst (Array.to_list probs));
+        Array.iter
+          (fun (name, p) ->
+            let man = Bdd.manager () in
+            let bdd = Network.output_bdd net man name in
+            let cold = Bdd.probability man (fun v -> input_probs.(v)) bdd in
+            if cold <> p then
+              Alcotest.failf "output %s: %h, cold BDD %h" name p cold)
+          probs
+      | _ -> Alcotest.fail "estimate job did not report probabilities")
+    jobs
+
 let test_batch_memo_traffic () =
   let jobs = Batch.mixed_workload ~seed:3 ~n:40 () in
   let report = Batch.run ~domains:2 jobs in
@@ -415,7 +396,6 @@ let suite =
     quick "pool determinism 1 vs N domains" test_pool_determinism;
     quick "pool clamping and empty batch" test_pool_clamp_and_empty;
     quick "pool exception propagation" test_pool_exception;
-    quick "memo cone probabilities" test_memo_cone_probs;
     quick "memo cec verdicts" test_memo_cec;
     quick "memo cec verdict independent of prover order" test_memo_cec_prover_order;
     quick "memo cec prover exception caches nothing" test_memo_cec_prover_raises;
@@ -426,10 +406,11 @@ let suite =
       test_tournament_rejects_broken_strategy;
     quick "tournament trace scoring" test_tournament_trace_scoring;
     quick "tournament measured strategy" test_tournament_measured_strategy;
-    quick "memo measured annotations" test_memo_activity;
     quick "tournament memo transparency" test_tournament_memo_transparent;
     quick "fsm encoding tournament" test_fsm_tournament;
     quick "batch determinism across domains" test_batch_determinism;
+    quick "batch estimate probabilities equal per-output BDDs"
+      test_batch_estimate_probabilities;
     quick "batch memo traffic" test_batch_memo_traffic;
     quick "solver stats aggregation" test_sum_stats;
   ]
