@@ -159,14 +159,17 @@ let optimize ?(config = default_config) ?required ?slack_factor
         if Compiled.is_input c x then 0.0 else gdelay x)
   in
   let g = Compiled.timing_graph c in
-  let required =
-    match required with
-    | Some r -> r
-    | None -> (
+  (* With neither bound given, the engine's default limit is the initial
+     critical delay itself, so one engine serves. *)
+  let sta =
+    match (required, slack_factor) with
+    | Some r, _ -> Sta.create ~required:r g delays
+    | None, Some f ->
       let crit = Sta.critical_delay (Sta.create g delays) in
-      match slack_factor with Some f -> f *. crit | None -> crit)
+      Sta.create ~required:(f *. crit) g delays
+    | None, None -> Sta.create g delays
   in
-  let sta = Sta.create ~required g delays in
+  let required = Sta.required_limit sta in
   let leak_total =
     ref
       (Array.fold_left

@@ -15,6 +15,15 @@
    level [level_of_var.(v)]); [reorder] runs Rudell sifting in a scratch
    workspace and rebuilds the store under the best order found.
 
+   The store has no garbage collector; [mark]/[release] reclaim it as a
+   stack instead.  Children are always stored before their parents, so
+   truncating the store to a mark keeps every node below it whole.  Each
+   handle records the epoch in which it was made, and once a manager has
+   been marked each node slot records the epoch in which it was filled; a
+   release bumps the epoch, so a handle to a released node is caught when
+   it is next used (its slot is past the store, or was refilled in a
+   later epoch).  Managers that are never marked keep no such record.
+
    The previous Hashtbl-of-tuples engine survives verbatim as
    [Bdd_reference], the differential-testing oracle. *)
 
@@ -33,6 +42,8 @@ type man = {
   mutable nlvl : int array;
   mutable nlo : int array;
   mutable nhi : int array; (* always regular *)
+  (* Epoch in which each slot was filled; empty until the first mark. *)
+  mutable nbirth : int array;
   mutable n_nodes : int;
   mutable peak : int;
   (* Unique table: open addressing, linear probing; 0 marks an empty
@@ -41,18 +52,26 @@ type man = {
   mutable umask : int;
   mutable uocc : int;
   (* Computed table: direct-mapped, 5 ints per slot
-     (op, a, b, c, result); lossy on collision. *)
+     (op + ctag, a, b, c, result); lossy on collision.  Clearing bumps
+     [ctag] (a multiple of 8, above every op code), so older entries stop
+     matching without a pass over the table. *)
   mutable cache : int array;
   mutable cmask : int; (* slot count - 1 *)
+  mutable ctag : int;
   mutable chits : int;
   mutable cmisses : int;
   (* Variable order: a bijection between variables and levels. *)
   mutable var_at_level : int array;
   mutable level_of_var : int array;
   mutable nvars : int;
+  (* Bumped by every release that frees nodes and every store rebuild. *)
+  mutable epoch : int;
+  mutable reorders : int; (* marks from before a reorder are rejected *)
 }
 
-type t = { man : man; e : int }
+type t = { man : man; e : int; ep : int (* epoch when wrapped *) }
+
+type mark = { mman : man; mnodes : int; mepoch : int; mreorders : int }
 
 let e_true = 0
 let e_false = 1
@@ -71,6 +90,7 @@ let manager_raw () =
       nlvl = Array.make initial_nodes 0;
       nlo = Array.make initial_nodes 0;
       nhi = Array.make initial_nodes 0;
+      nbirth = [||];
       n_nodes = 1;
       peak = 0;
       utab = Array.make initial_uslots 0;
@@ -78,11 +98,14 @@ let manager_raw () =
       uocc = 0;
       cache = fresh_cache initial_cslots;
       cmask = initial_cslots - 1;
+      ctag = 0;
       chits = 0;
       cmisses = 0;
       var_at_level = [||];
       level_of_var = [||];
       nvars = 0;
+      epoch = 0;
+      reorders = 0;
     }
   in
   m.nlvl.(0) <- max_int;
@@ -101,7 +124,7 @@ let stats m =
     cache_slots = m.cmask + 1;
   }
 
-let clear_caches m = Array.fill m.cache 0 (Array.length m.cache) (-1)
+let clear_caches m = m.ctag <- m.ctag + 8
 
 let set_order m order =
   if m.n_nodes > 1 then
@@ -160,6 +183,7 @@ let grow_nodes m =
   m.nlvl <- g m.nlvl;
   m.nlo <- g m.nlo;
   m.nhi <- g m.nhi;
+  if Array.length m.nbirth > 0 then m.nbirth <- g m.nbirth;
   m.nlvl.(0) <- max_int
 
 let rehash_unique m =
@@ -194,6 +218,7 @@ let mk_raw m v lo hi =
       m.nlvl.(n) <- v;
       m.nlo.(n) <- lo;
       m.nhi.(n) <- hi;
+      if Array.length m.nbirth > 0 then m.nbirth.(n) <- m.epoch;
       m.utab.(!h) <- n;
       m.uocc <- m.uocc + 1;
       if m.uocc > m.peak then m.peak <- m.uocc;
@@ -213,6 +238,18 @@ let mk m v lo hi =
 
 let top m e = m.nlvl.(e lsr 1)
 
+(* Remove node [n], the newest node in the store, from the unique table.
+   Under linear probing a node's probe path crosses only slots filled
+   before it (insertion, rehash and this deletion all keep that true), so
+   no remaining node's path crosses [n]'s slot: clearing the slot is the
+   whole deletion (a backward shift would never move an entry), with no
+   tombstone and no rehash. *)
+let unique_delete m n =
+  let h = ref (hash3 m.nlvl.(n) m.nlo.(n) m.nhi.(n) land m.umask) in
+  while m.utab.(!h) <> n do h := (!h + 1) land m.umask done;
+  m.utab.(!h) <- 0;
+  m.uocc <- m.uocc - 1
+
 (* ---------- computed table ---------- *)
 
 let op_ite = 0
@@ -225,7 +262,7 @@ let cache_find m op a b c =
   let base = (hash3 (a lxor (op * 0x27d4eb2f)) b c land m.cmask) * 5 in
   let cache = m.cache in
   if
-    cache.(base) = op
+    cache.(base) = op + m.ctag
     && cache.(base + 1) = a
     && cache.(base + 2) = b
     && cache.(base + 3) = c
@@ -241,7 +278,7 @@ let cache_find m op a b c =
 let cache_store m op a b c r =
   let base = (hash3 (a lxor (op * 0x27d4eb2f)) b c land m.cmask) * 5 in
   let cache = m.cache in
-  cache.(base) <- op;
+  cache.(base) <- op + m.ctag;
   cache.(base + 1) <- a;
   cache.(base + 2) <- b;
   cache.(base + 3) <- c;
@@ -315,11 +352,52 @@ let xor_int m f g = ite_int m f (g lxor 1) g
 
 (* ---------- public construction ---------- *)
 
+(* A handle made in the current epoch is live, and so is the terminal;
+   any other is live while its node slot is still in the store and was
+   filled no later than the handle was made.  Without slot epochs the
+   epoch can only have moved by a reorder that rebuilt the store. *)
+let live f =
+  let m = f.man in
+  f.ep = m.epoch
+  ||
+  let n = f.e lsr 1 in
+  n = 0
+  || (n < m.n_nodes && n < Array.length m.nbirth && m.nbirth.(n) <= f.ep)
+
+let check f = if not (live f) then invalid_arg "Bdd: node was released"
+
 let own m f =
   if f.man != m then invalid_arg "Bdd: node belongs to another manager";
+  check f;
   f.e
 
-let wrap m e = { man = m; e }
+let wrap m e = { man = m; e; ep = m.epoch }
+
+(* ---------- mark / release ---------- *)
+
+let mark m =
+  if Array.length m.nbirth = 0 then
+    m.nbirth <- Array.make (Array.length m.nlvl) m.epoch;
+  { mman = m; mnodes = m.n_nodes; mepoch = m.epoch; mreorders = m.reorders }
+
+let release m mk =
+  if mk.mman != m then invalid_arg "Bdd.release: mark from another manager";
+  if mk.mreorders <> m.reorders then
+    invalid_arg "Bdd.release: manager reordered since the mark";
+  let lim = mk.mnodes in
+  (* The last slot below the mark refilled after the mark was taken means
+     an earlier release went below it. *)
+  if lim > m.n_nodes || m.nbirth.(lim - 1) > mk.mepoch then
+    invalid_arg "Bdd.release: store already released below the mark";
+  if m.n_nodes > lim then begin
+    (* Newest first, so each deleted node is the newest one left. *)
+    for n = m.n_nodes - 1 downto lim do
+      unique_delete m n
+    done;
+    m.n_nodes <- lim;
+    m.epoch <- m.epoch + 1;
+    clear_caches m
+  end
 
 let tru m = wrap m e_true
 let fls m = wrap m e_false
@@ -366,6 +444,7 @@ let is_const f = f.e lsr 1 = 0
 let var_of m n = m.var_at_level.(m.nlvl.(n))
 
 let eval f env =
+  check f;
   let m = f.man in
   let rec go e =
     let n = e lsr 1 in
@@ -391,6 +470,7 @@ let iter_nodes m e k =
   go e
 
 let support f =
+  check f;
   let m = f.man in
   let module IS = Set.Make (Int) in
   let acc = ref IS.empty in
@@ -398,6 +478,7 @@ let support f =
   IS.elements !acc
 
 let size f =
+  check f;
   let c = ref 0 in
   iter_nodes f.man f.e (fun _ -> incr c);
   !c
@@ -416,6 +497,7 @@ let shared_size m es =
   Hashtbl.length seen
 
 let any_sat f =
+  check f;
   let m = f.man in
   (* Every nonterminal node is non-constant, so at most one branch probe
      fails per node and the search is linear in the path length. *)
@@ -602,6 +684,7 @@ let boolean_difference m f v =
 (* ---------- probability ---------- *)
 
 let probability _m p f =
+  check f;
   let m = f.man in
   let memo = Hashtbl.create 64 in
   (* Memoize on regular nodes; the complement bit flips P afterwards. *)
@@ -623,9 +706,10 @@ let probability _m p f =
   go f.e
 
 (* One memo for every root: a node's probability does not depend on the
-   root that reaches it, and nodes are never freed or renumbered, so a
-   float array indexed by node (NaN = not yet computed) serves the whole
-   sweep.  Same arithmetic as [probability], hence the same floats. *)
+   root that reaches it, and every root is live (checked by [own]), so a
+   float array over the store's current slots (NaN = not yet computed)
+   serves the whole sweep.  Same arithmetic as [probability], hence the
+   same floats. *)
 let probabilities m p fs =
   let es = List.map (own m) fs in
   let memo = Array.make m.n_nodes Float.nan in
@@ -651,6 +735,7 @@ let probabilities m p fs =
 (* ---------- enumeration ---------- *)
 
 let fold_paths _m f ~init ~f:step =
+  check f;
   let m = f.man in
   let rec go acc path e =
     let n = e lsr 1 and c = e land 1 in
@@ -664,6 +749,7 @@ let fold_paths _m f ~init ~f:step =
   go init [] f.e
 
 let to_expr _m f =
+  check f;
   let m = f.man in
   let memo = Hashtbl.create 64 in
   let rec go e =
@@ -701,15 +787,18 @@ type wnode = {
 let reorder m roots_t =
   List.iter
     (fun r ->
-      if r.man != m then invalid_arg "Bdd.reorder: node from another manager")
+      if r.man != m then invalid_arg "Bdd.reorder: node from another manager";
+      check r)
     roots_t;
+  m.reorders <- m.reorders + 1;
   let n = m.nvars in
   if n <= 1 then roots_t
   else begin
     let roots = List.map (fun r -> r.e) roots_t in
     (* Snapshot the store so a net loss (complement-edge size can move
        against the workspace metric) can be rolled back wholesale. *)
-    let snap_lvl = m.nlvl and snap_lo = m.nlo and snap_hi = m.nhi in
+    let snap_lvl = m.nlvl and snap_lo = m.nlo and snap_hi = m.nhi
+    and snap_birth = m.nbirth and snap_epoch = m.epoch in
     let snap_nodes = m.n_nodes and snap_utab = m.utab and snap_umask = m.umask
     and snap_uocc = m.uocc in
     let snap_vat = Array.copy m.var_at_level
@@ -869,10 +958,13 @@ let reorder m roots_t =
         (List.init n (fun l -> (var_at.(l), Hashtbl.length tables.(l))))
     in
     List.iter (fun (x, sz) -> if sz > 0 then sift x) by_size;
-    (* Rebuild the store under the sifted order. *)
+    (* Rebuild the store under the sifted order, in a new epoch so handles
+       into the old store are caught. *)
+    m.epoch <- m.epoch + 1;
     m.nlvl <- Array.make initial_nodes 0;
     m.nlo <- Array.make initial_nodes 0;
     m.nhi <- Array.make initial_nodes 0;
+    if Array.length m.nbirth > 0 then m.nbirth <- Array.make initial_nodes 0;
     m.nlvl.(0) <- max_int;
     m.n_nodes <- 1;
     m.utab <- Array.make initial_uslots 0;
@@ -903,6 +995,8 @@ let reorder m roots_t =
       m.nlvl <- snap_lvl;
       m.nlo <- snap_lo;
       m.nhi <- snap_hi;
+      m.nbirth <- snap_birth;
+      m.epoch <- snap_epoch;
       m.n_nodes <- snap_nodes;
       m.utab <- snap_utab;
       m.umask <- snap_umask;

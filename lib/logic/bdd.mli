@@ -24,7 +24,8 @@ type man
 
 type t
 (** A BDD (an edge into a manager's node store), valid within the manager
-    that created it. *)
+    that created it until a {!release} frees its node.  Every operation
+    that reads a [t] raises [Invalid_argument] on a released one. *)
 
 val manager : ?order:int array -> unit -> man
 (** Fresh manager.  [order] fixes the initial variable order as for
@@ -54,6 +55,33 @@ type stats = {
 val stats : man -> stats
 (** Table occupancy and computed-cache hit/miss counters. *)
 
+(** {1 Reclaiming nodes}
+
+    The node store has no garbage collector.  A caller that builds
+    scratch BDDs over long-lived ones (a don't-care pass builds each
+    node's free-variable functions over the network's global BDDs)
+    reclaims them as a stack: {!mark} the store, build, use the results,
+    {!release} to the mark. *)
+
+type mark
+(** A position in a manager's node store. *)
+
+val mark : man -> mark
+(** The current top of the store. *)
+
+val release : man -> mark -> unit
+(** [release m mk] frees every node built since [mk] was taken: the store
+    is truncated back to the mark, the freed nodes leave the unique table
+    (in time proportional to their number, with no rehash) and the
+    computed table is cleared.  BDDs built before the mark keep
+    their nodes, functions and probabilities, and {!node_count} returns to
+    its value at the mark.  A [t] that refers to a freed node is invalid:
+    using it raises [Invalid_argument], also after new nodes refill its
+    slot.  Releasing to the same mark again is allowed.  Raises
+    [Invalid_argument] if [mk] belongs to another manager, was taken
+    before a {!reorder}, or lies above the store (an earlier release went
+    below it). *)
+
 (** {1 Variable order} *)
 
 val set_order : man -> int array -> unit
@@ -76,7 +104,9 @@ val reorder : man -> t list -> t list
     possibly different node counts).  The combined node count of the
     returned roots never exceeds that of [roots]; if sifting cannot
     improve it, the store and order are left untouched.  Any other [t]
-    values from this manager are invalidated. *)
+    values from this manager are invalidated (and caught when used if
+    the store was rebuilt), and {!release} rejects every earlier
+    {!mark}. *)
 
 (** {1 Construction} *)
 
@@ -156,11 +186,12 @@ val probabilities : man -> (int -> float) -> t list -> float list
 (** [probabilities m p fs] is [List.map (probability m p) fs], with the
     same floats, computed in one sweep whose memo is shared by every root:
     a node reached from several roots is weighted once.  The memo is an
-    array over all of [m]'s nodes, so use this when the roots cover much of
-    the manager (every node of a network's global BDDs, say), and
+    array over the slots of [m]'s store as it stands (live nodes only,
+    after a {!release}), so use this when the roots cover much of the
+    manager (every node of a network's global BDDs, say), and
     {!probability} for a single root in a large manager, where a walk of
     just the reachable nodes is cheaper.  Raises [Invalid_argument] if a
-    root belongs to another manager. *)
+    root belongs to another manager or was released. *)
 
 (** {1 Enumeration} *)
 

@@ -229,10 +229,9 @@ let adopt_input_order t man =
   if Bdd.node_count man = 0 && Bdd.num_vars man = 0 then
     Bdd.set_order man (bdd_input_order t)
 
-(* Shared builder behind the [global_bdds*] entry points.  [keep] limits
-   the build to a cone; [override] replaces one node's function wholesale
-   (the free-variable trick used by don't-care computation). *)
-let build_global_bdds t man ~keep ~override =
+(* Shared builder behind [global_bdds] and [output_bdd]; [keep] limits the
+   build to a cone. *)
+let build_global_bdds t man ~keep =
   let bdds = Hashtbl.create (Hashtbl.length t.nodes) in
   List.iteri
     (fun k i -> if keep i then Hashtbl.replace bdds i (Bdd.var man k))
@@ -243,37 +242,25 @@ let build_global_bdds t man ~keep ~override =
         let n = get t i in
         match n.kind with
         | Input -> ()
-        | Logic -> (
-          match override i with
-          | Some f -> Hashtbl.replace bdds i f
-          | None ->
-            let fanin_bdds =
-              Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
-            in
-            let rec build = function
-              | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
-              | Expr.Var v -> fanin_bdds.(v)
-              | Expr.Not e -> Bdd.not_ man (build e)
-              | Expr.And es -> Bdd.and_list man (List.map build es)
-              | Expr.Or es -> Bdd.or_list man (List.map build es)
-              | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
-            in
-            Hashtbl.replace bdds i (build n.nfunc)))
+        | Logic ->
+          let fanin_bdds =
+            Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
+          in
+          let rec build = function
+            | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
+            | Expr.Var v -> fanin_bdds.(v)
+            | Expr.Not e -> Bdd.not_ man (build e)
+            | Expr.And es -> Bdd.and_list man (List.map build es)
+            | Expr.Or es -> Bdd.or_list man (List.map build es)
+            | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
+          in
+          Hashtbl.replace bdds i (build n.nfunc))
     (topo_order t);
   bdds
 
 let global_bdds t man =
   adopt_input_order t man;
-  build_global_bdds t man ~keep:(fun _ -> true) ~override:(fun _ -> None)
-
-let global_bdds_with_free t man ~node ~free_var =
-  if is_input t node then
-    invalid_arg "Network.global_bdds_with_free: input node";
-  adopt_input_order t man;
-  let z = Bdd.var man free_var in
-  build_global_bdds t man
-    ~keep:(fun _ -> true)
-    ~override:(fun i -> if i = node then Some z else None)
+  build_global_bdds t man ~keep:(fun _ -> true)
 
 let output_bdd t man output_name =
   match List.assoc_opt output_name (outputs t) with
@@ -289,10 +276,7 @@ let output_bdd t man output_name =
       end
     in
     mark root;
-    let bdds =
-      build_global_bdds t man ~keep:(Hashtbl.mem cone)
-        ~override:(fun _ -> None)
-    in
+    let bdds = build_global_bdds t man ~keep:(Hashtbl.mem cone) in
     Hashtbl.find bdds root
 
 (* --- Canonical structural hashing ---------------------------------- *)

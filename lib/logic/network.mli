@@ -92,14 +92,10 @@ val global_bdds : t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
 (** Global function of every node over the primary inputs; BDD variable [i]
     is the [i]-th primary input.  If [man] is pristine (no nodes, no
     variables), the {!bdd_input_order} interleaved order is installed
-    first; pre-seeded managers are left untouched. *)
-
-val global_bdds_with_free : t -> Bdd.man -> node:id -> free_var:int -> (id, Bdd.t) Hashtbl.t
-(** Like {!global_bdds}, but node [node]'s global function is replaced by
-    the free BDD variable [free_var], so downstream functions are computed
-    over the inputs plus that free variable — the standard setup for
-    observability don't-care extraction.  Raises [Invalid_argument] if
-    [node] is an input. *)
+    first; pre-seeded managers are left untouched.  Variables numbered
+    past the inputs are appended below them, which is where the
+    don't-care session in [lib/synth] puts its fanin and free
+    variables. *)
 
 val output_bdd : t -> Bdd.man -> string -> Bdd.t
 (** Global function of one named output.  Builds only the output's

@@ -4,20 +4,10 @@ let observability_condition net root =
   let npi = List.length (Network.inputs net) in
   if npi > 18 then
     invalid_arg "Guard.observability_condition: more than 18 primary inputs";
-  let man = Bdd.manager () in
-  let free =
-    Network.global_bdds_with_free net man ~node:root ~free_var:npi
-  in
-  let odc =
-    List.fold_left
-      (fun acc (_, o) ->
-        let sens = Bdd.boolean_difference man (Hashtbl.find free o) npi in
-        Bdd.and_ man acc (Bdd.not_ man sens))
-      (Bdd.tru man) (Network.outputs net)
-  in
   (* BDD paths give a compact disjoint cover directly; minimize cleans up
      the path fragmentation. *)
-  Cover.to_expr (Cover.minimize (Cover.of_bdd npi man odc))
+  Cover.to_expr
+    (Cover.minimize (Dontcare.observability (Dontcare.session net) root))
 
 type guarded = {
   circuit : Seq_circuit.t;

@@ -16,6 +16,7 @@
 val observability_condition : Network.t -> Network.id -> Expr.t
 (** The exact ODC of a node over the primary inputs (true = the node's
     value cannot affect any output), as a minimized two-level expression.
+    The ODC comes from a one-visit {!Dontcare.session}.
     Raises [Invalid_argument] on an input node or networks with more than
     18 primary inputs (two-level tabulation bound). *)
 

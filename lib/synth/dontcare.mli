@@ -21,9 +21,42 @@ type dc = {
   dontcare : Truth_table.t;     (** SDC union ODC over fanins *)
 }
 
-val compute : Network.t -> Network.id -> dc
-(** Exact local don't-cares of one node.  Raises [Invalid_argument] on an
-    input node or a node with more than 16 fanins. *)
+(** {1 Sessions}
+
+    A pass visits many nodes of one network.  A session holds one BDD
+    manager and the current global BDDs of every node for the whole pass.
+    A visit builds the node's free-variable copy on its transitive fanout
+    only, and releases everything it built when it ends ({!Bdd.release}),
+    so the store holds the globals alone between visits.  Every BDD over
+    the primary inputs alone has the same graph in any manager (the fanin
+    and free variables sit below the inputs), so a session gives the same
+    don't-cares and the same probability floats as a fresh manager per
+    visit. *)
+
+type session
+
+val session : Network.t -> session
+(** Open a session on [net], building the global BDDs of every node.  The
+    network's wiring must not change while the session is in use; a local
+    function may, and each change the caller keeps must be reported with
+    {!installed} before the next visit. *)
+
+val dc : session -> Network.id -> dc
+(** Exact local don't-cares of one node, in one visit.  Raises
+    [Invalid_argument] on an input node or a node with more than 16
+    fanins. *)
+
+val installed : session -> Network.id -> unit
+(** [installed s n] tells the session that [n]'s local function changed:
+    the global BDDs of [n]'s transitive fanout are rebuilt.  When the dead
+    globals that installs leave behind outgrow a fixed multiple of the
+    live ones, the session starts a fresh manager. *)
+
+val observability : session -> Network.id -> Cover.t
+(** The exact ODC of a node over the primary inputs (true = the node's
+    value cannot affect any output), as the disjoint cover of its BDD
+    paths, made in one visit.  Raises [Invalid_argument] on an input
+    node. *)
 
 val minimized_candidates : dc -> Cover.t list
 (** Two-level-minimized re-implementations of the node, one per don't-care
@@ -48,7 +81,9 @@ type policy =
 val optimize : ?verify:Verify.mode -> Network.t -> policy -> int
 (** Re-implement every logic node (at most 16 fanins), in topological
     order, using its don't-cares under the given policy; returns the
-    number of changed nodes.  The network remains functionally
-    equivalent at all primary outputs (don't-cares guarantee it);
-    [verify] (default {!Verify.default}) re-proves the equivalence once,
-    after the whole sweep, and raises {!Verify.Failed} on a mismatch. *)
+    number of changed nodes.  One session serves the whole sweep: each
+    node's don't-cares and candidate scores come from one visit.  The
+    network remains functionally equivalent at all primary outputs
+    (don't-cares guarantee it); [verify] (default {!Verify.default})
+    re-proves the equivalence once, after the whole sweep, and raises
+    {!Verify.Failed} on a mismatch. *)

@@ -9,24 +9,24 @@ type result = {
 (* Candidate implementations of one node: the don't-care-minimized covers,
    simplified and deduplicated, with the installed function dropped (it is
    the incumbent, measured already). *)
-let candidates net n =
-  match Dontcare.compute net n with
-  | exception Invalid_argument _ -> []
-  | d ->
-    let installed = Network.func net n in
-    List.fold_left
-      (fun acc cover ->
-        let e = Expr.simplify (Cover.to_expr cover) in
-        if Expr.equal e installed || List.exists (Expr.equal e) acc then acc
-        else e :: acc)
-      []
-      (Dontcare.minimized_candidates d)
+let candidates session net n =
+  let installed = Network.func net n in
+  List.fold_left
+    (fun acc cover ->
+      let e = Expr.simplify (Cover.to_expr cover) in
+      if Expr.equal e installed || List.exists (Expr.equal e) acc then acc
+      else e :: acc)
+    []
+    (Dontcare.minimized_candidates (Dontcare.dc session n))
 
 let measured ?verify ?(max_fanin = 10) net ~trace =
   let max_fanin = min max_fanin 16 in
   let vmode = Verify.resolve verify in
   let before = if vmode = `Off then None else Some (Network.copy net) in
   let sim = Actsim.create net ~trace in
+  (* The session learns only the function each node keeps; the candidates
+     tried on the engine in between never reach its globals. *)
+  let session = Dontcare.session net in
   let initial_score = Actsim.switched_capacitance sim in
   let changed = ref 0 and tried = ref 0 in
   List.iter
@@ -52,9 +52,12 @@ let measured ?verify ?(max_fanin = 10) net ~trace =
               best := e;
               best_score := s
             end)
-          (candidates net n);
+          (candidates session net n);
         if not (Expr.equal (Network.func net n) !best) then install !best;
-        if not (Expr.equal !best original) then incr changed
+        if not (Expr.equal !best original) then begin
+          incr changed;
+          Dontcare.installed session n
+        end
       end)
     (Network.topo_order net);
   (match before with

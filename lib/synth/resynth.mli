@@ -30,8 +30,10 @@ val measured :
     (default 10, capped at 16) fanins, compute its don't-cares, install
     each {!Dontcare.minimized_candidates} cover in turn, re-measure via
     {!Actsim.update}, and keep the strictly best implementation (the
-    original wins ties).  The network is mutated in place and stays
-    functionally equivalent by construction; [verify] (default
+    original wins ties).  One {!Dontcare.session} serves the sweep; it
+    learns only each function kept ({!Dontcare.installed}), not the
+    candidates tried on the engine.  The network is mutated in place and
+    stays functionally equivalent by construction; [verify] (default
     {!Verify.default}) re-proves it and raises {!Verify.Failed} on a
     mismatch.  Raises [Invalid_argument] on an empty trace or arity
     mismatch. *)

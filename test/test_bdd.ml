@@ -178,6 +178,97 @@ let prop_cover =
       Truth_table.equal (Cover.to_truth_table cov)
         (Cover.to_truth_table rcov))
 
+(* --- mark / release --- *)
+
+let prop_release_keeps_older =
+  prop ~count:200 "release keeps BDDs built before the mark"
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 4) (gen_expr nvars))
+        (list_size (int_range 1 4) (gen_expr nvars))
+        (gen_expr nvars))
+    (fun (older, scratch, later) ->
+      let m = Bdd.manager () in
+      let fs = List.map (Bdd.of_expr m) older in
+      let p v = 0.05 +. (0.9 *. float_of_int ((v * 5) mod nvars) /. float_of_int nvars) in
+      let probs = Bdd.probabilities m p fs in
+      let count = Bdd.node_count m in
+      let mk = Bdd.mark m in
+      (* Scratch work mixes new nodes with the older ones. *)
+      List.iter
+        (fun e ->
+          let g = Bdd.of_expr m e in
+          List.iter (fun f -> ignore (Bdd.xor m f (Bdd.and_ m f g))) fs)
+        scratch;
+      Bdd.release m mk;
+      let count_back = Bdd.node_count m = count in
+      (* The unique table still finds every older node: rebuilding an
+         older function yields the very same edge. *)
+      let edges =
+        List.for_all2 (fun f e -> Bdd.equal f (Bdd.of_expr m e)) fs older
+      in
+      let functions =
+        List.for_all2
+          (fun f e ->
+            agree f (Bdd_reference.of_expr (Bdd_reference.manager ()) e))
+          fs older
+      in
+      (* The store keeps working above the mark. *)
+      let r = Bdd_reference.manager () in
+      let later_ok =
+        agree
+          (Bdd.and_ m (Bdd.of_expr m later) (List.hd fs))
+          (Bdd_reference.and_ r
+             (Bdd_reference.of_expr r later)
+             (Bdd_reference.of_expr r (List.hd older)))
+      in
+      count_back && edges && functions && later_ok
+      && Bdd.probabilities m p fs = probs)
+
+let test_release_rejects_stale () =
+  let m = Bdd.manager () in
+  let a = Bdd.of_expr m Expr.(var 0 &&& var 1) in
+  let mk = Bdd.mark m in
+  let g = Bdd.of_expr m Expr.(var 2 ^^^ var 3 ^^^ var 4) in
+  Bdd.release m mk;
+  expect_invalid_arg "and_ with a released BDD" (fun () -> Bdd.and_ m a g);
+  expect_invalid_arg "eval of a released BDD" (fun () ->
+      Bdd.eval g (fun _ -> true));
+  expect_invalid_arg "probability of a released BDD" (fun () ->
+      Bdd.probability m (fun _ -> 0.5) g);
+  (* New nodes refill the freed slots; the old handle is still caught. *)
+  let h = Bdd.of_expr m Expr.(var 5 ||| var 6 ||| var 7 ||| var 8) in
+  expect_invalid_arg "released BDD after its slot is refilled" (fun () ->
+      Bdd.size g);
+  Alcotest.(check bool) "BDDs from before the mark still work" true
+    (Bdd.eval (Bdd.or_ m a h) (fun v -> v = 5));
+  Bdd.release m mk;
+  Bdd.release m mk;
+  Alcotest.(check bool) "releasing to the same mark again" true
+    (Bdd.eval a (fun _ -> true));
+  ignore (Bdd.of_expr m Expr.(var 14 &&& var 15));
+  let inner = Bdd.mark m in
+  ignore (Bdd.of_expr m Expr.(var 9 &&& var 10));
+  Bdd.release m mk;
+  ignore (Bdd.of_expr m Expr.(var 11 ||| var 12 ||| var 13));
+  expect_invalid_arg "a mark above an earlier release" (fun () ->
+      Bdd.release m inner);
+  expect_invalid_arg "a mark of another manager" (fun () ->
+      Bdd.release (Bdd.manager ()) mk)
+
+let test_release_rejects_mark_before_reorder () =
+  let m = Bdd.manager () in
+  let f = Bdd.of_expr m Expr.(var 0 &&& var 3 ||| (var 1 &&& var 4)) in
+  let mk = Bdd.mark m in
+  let f' = match Bdd.reorder m [ f ] with [ x ] -> x | _ -> assert false in
+  expect_invalid_arg "mark from before a reorder" (fun () ->
+      Bdd.release m mk);
+  let mk' = Bdd.mark m in
+  ignore (Bdd.of_expr m Expr.(var 2 ^^^ var 5));
+  Bdd.release m mk';
+  Alcotest.(check bool) "a mark after the reorder releases" true
+    (Bdd.eval f' (fun v -> v = 0 || v = 3))
+
 (* --- sifting --- *)
 
 let prop_sift_single =
@@ -333,6 +424,10 @@ let suite =
     quick "order independence" test_order_independence;
     quick "network interleave" test_network_interleave;
     quick "sifting recovers adder order" test_sift_interleaves_adder;
+    quick "release rejects stale BDDs and marks" test_release_rejects_stale;
+    quick "release rejects a mark from before a reorder"
+      test_release_rejects_mark_before_reorder;
+    prop_release_keeps_older;
     prop_and_or_xor;
     prop_ite;
     prop_quantifiers;

@@ -169,6 +169,8 @@ let test_map_custom_library_failure () =
 
 (* --- Don't cares --- *)
 
+let session_dc net n = Dontcare.dc (Dontcare.session net) n
+
 let test_sdc_detected () =
   (* g's fanins are a and ~a: combinations (0,0) and (1,1) are
      unreachable. *)
@@ -177,7 +179,7 @@ let test_sdc_detected () =
   let na = Network.add_node net (Expr.not_ (Expr.var 0)) [ a ] in
   let g = Network.add_node net Expr.(var 0 &&& var 1) [ a; na ] in
   Network.set_output net "z" g;
-  let d = Dontcare.compute net g in
+  let d = session_dc net g in
   Alcotest.(check bool) "minterm 00 is sdc" true
     (Truth_table.get d.Dontcare.dontcare 0b00);
   Alcotest.(check bool) "minterm 11 is sdc" true
@@ -193,7 +195,7 @@ let test_odc_detected () =
   let g = Network.add_node net Expr.(var 0 ||| var 1) [ a; b ] in
   let z = Network.add_node net Expr.(var 0 &&& var 1) [ g; a ] in
   Network.set_output net "z" z;
-  let d = Dontcare.compute net g in
+  let d = session_dc net g in
   (* Fanins of g are (a, b); combos with a = 0 are ODC. *)
   Alcotest.(check bool) "a=0,b=0 odc" true (Truth_table.get d.Dontcare.dontcare 0b00);
   Alcotest.(check bool) "a=0,b=1 odc" true (Truth_table.get d.Dontcare.dontcare 0b10);
@@ -263,16 +265,12 @@ let test_optimize_fanout_policy () =
   Alcotest.(check bool) "fanout-aware wins or ties on most networks" true
     (!better_or_equal * 2 >= !total)
 
-(* Reference sweep: the don't-care optimizer scoring each candidate in a
-   fresh BDD manager of its own, with no state shared between the
-   don't-care computation and the scores.  [Dontcare.optimize] shares one
-   manager per node visit and must make exactly the same choices. *)
-let reference_probability net n cand ~input_probs =
-  let man = Bdd.manager () in
-  let globals = Network.global_bdds net man in
-  let fanins =
-    Array.of_list (List.map (Hashtbl.find globals) (Network.fanins net n))
-  in
+(* Fresh-manager oracle for the don't-care session: a new manager per
+   node, the global BDDs of the whole network, then the whole network
+   again with the node replaced by a free variable z.  Every output
+   contributes to the ODC, whether or not it lies in the node's fanout,
+   and the local ODC is a plain conjunction then quantification. *)
+let build_expr man fanins e =
   let rec build = function
     | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
     | Expr.Var v -> fanins.(v)
@@ -281,16 +279,169 @@ let reference_probability net n cand ~input_probs =
     | Expr.Or es -> Bdd.or_list man (List.map build es)
     | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
   in
-  Bdd.probability man (fun v -> input_probs.(v)) (build (Cover.to_expr cand))
+  build e
+
+let reference_dc net n =
+  let man = Bdd.manager () in
+  let globals = Network.global_bdds net man in
+  let fanins = Network.fanins net n in
+  let k = List.length fanins in
+  let npi = List.length (Network.inputs net) in
+  let zvar = npi + k in
+  let pis = List.init npi Fun.id in
+  let consistency =
+    Bdd.and_list man
+      (List.mapi
+         (fun j fi ->
+           Bdd.xnor man (Bdd.var man (npi + j)) (Hashtbl.find globals fi))
+         fanins)
+  in
+  let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
+  let free = Hashtbl.create 16 in
+  List.iteri
+    (fun k i -> Hashtbl.replace free i (Bdd.var man k))
+    (Network.inputs net);
+  List.iter
+    (fun i ->
+      if not (Network.is_input net i) then
+        Hashtbl.replace free i
+          (if i = n then Bdd.var man zvar
+           else
+             build_expr man
+               (Array.of_list
+                  (List.map (Hashtbl.find free) (Network.fanins net i)))
+               (Network.func net i)))
+    (Network.topo_order net);
+  let odc_global =
+    List.fold_left
+      (fun acc (_, o) ->
+        Bdd.and_ man acc
+          (Bdd.not_ man
+             (Bdd.boolean_difference man (Hashtbl.find free o) zvar)))
+      (Bdd.tru man) (Network.outputs net)
+  in
+  let odc_local =
+    Bdd.not_ man
+      (Bdd.exists man pis
+         (Bdd.and_ man consistency (Bdd.not_ man odc_global)))
+  in
+  let dc_bdd = Bdd.or_ man sdc odc_local in
+  {
+    Dontcare.node = n;
+    local_onset = Truth_table.of_expr k (Network.func net n);
+    dontcare =
+      Truth_table.of_fun k (fun code ->
+          Bdd.eval dc_bdd (fun v ->
+              v >= npi && v < npi + k && code land (1 lsl (v - npi)) <> 0));
+  }
+
+let dc_equal a b =
+  a.Dontcare.node = b.Dontcare.node
+  && Truth_table.equal a.Dontcare.local_onset b.Dontcare.local_onset
+  && Truth_table.equal a.Dontcare.dontcare b.Dontcare.dontcare
+
+(* Edits through a session: each step gives one node a new local function
+   over the same fanins (a pseudo-random truth table, so the global
+   functions really change) and reports it with [installed]; before the
+   first step and after every step, the session's don't-cares must equal
+   the oracle's at every logic node. *)
+let prop_session_matches_oracle =
+  prop ~count:60 "dc session = fresh-manager oracle under edits"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 16) (pair nat nat)))
+    (fun (seed, edits) ->
+      let r = Lowpower.Rng.create seed in
+      let net =
+        Gen_comb.random r
+          { Gen_comb.default_shape with
+            Gen_comb.num_inputs = 3 + (seed mod 5);
+            num_gates = 5 + (seed mod 11) }
+      in
+      let s = Dontcare.session net in
+      let logic =
+        Array.of_list
+          (List.filter
+             (fun i -> not (Network.is_input net i))
+             (Network.topo_order net))
+      in
+      let agree () =
+        Array.for_all
+          (fun n -> dc_equal (Dontcare.dc s n) (reference_dc net n))
+          logic
+      in
+      agree ()
+      && List.for_all
+           (fun (pick, salt) ->
+             let n = logic.(pick mod Array.length logic) in
+             let fanins = Network.fanins net n in
+             let tt =
+               Truth_table.of_fun (List.length fanins) (fun code ->
+                   Hashtbl.hash (salt, code) land 1 = 1)
+             in
+             Network.replace_func net n
+               (Cover.to_expr (Cover.of_truth_table tt))
+               fanins;
+             Dontcare.installed s n;
+             agree ())
+           edits)
+
+(* Reference sweep: the don't-care optimizer scoring each candidate in a
+   fresh BDD manager of its own, with no state shared between the
+   don't-care computation and the scores.  [Dontcare.optimize] shares one
+   session per sweep and must make exactly the same choices. *)
+let reference_probability net n cand ~input_probs =
+  let man = Bdd.manager () in
+  let globals = Network.global_bdds net man in
+  let fanins =
+    Array.of_list (List.map (Hashtbl.find globals) (Network.fanins net n))
+  in
+  Bdd.probability man (fun v -> input_probs.(v))
+    (build_expr man fanins (Cover.to_expr cand))
+
+(* [19]'s score as a whole-network recomputation: install the candidate,
+   run [Probability.exact] on the whole net, restore. *)
+let reference_fanout_cost net n cand ~input_probs =
+  let fanout = Hashtbl.create 16 in
+  let rec mark i =
+    if not (Hashtbl.mem fanout i) then begin
+      Hashtbl.replace fanout i ();
+      List.iter mark (Network.fanouts net i)
+    end
+  in
+  mark n;
+  let old_f = Network.func net n in
+  let fanins = Network.fanins net n in
+  Network.replace_func net n (Cover.to_expr cand) fanins;
+  let probs = Probability.exact net ~input_probs in
+  Network.replace_func net n old_f fanins;
+  Hashtbl.fold
+    (fun i () acc ->
+      let p = Hashtbl.find probs i in
+      acc +. (Network.cap net i *. 2.0 *. p *. (1.0 -. p)))
+    fanout 0.0
 
 let reference_optimize_node net policy n =
   let fanins = Network.fanins net n in
   if Network.is_input net n || List.length fanins > 16 then false
   else begin
-    let cands = Dontcare.minimized_candidates (Dontcare.compute net n) in
+    let cands = Dontcare.minimized_candidates (reference_dc net n) in
     let func = Network.func net n in
     let current_lits = Expr.literal_count func in
     let lits_below c = Expr.literal_count (Cover.to_expr c) < current_lits in
+    let old_cov () =
+      Cover.of_truth_table (Truth_table.of_expr (List.length fanins) func)
+    in
+    let cheapest cost =
+      List.fold_left
+        (fun acc c ->
+          let a = cost c and l = Cover.literal_count c in
+          match acc with
+          | None -> Some (a, l, c)
+          | Some (ba, bl, _) ->
+            if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
+            then Some (a, l, c)
+            else acc)
+        None cands
+    in
     let chosen =
       match policy with
       | Dontcare.For_area ->
@@ -310,30 +461,18 @@ let reference_optimize_node net policy n =
           let p = reference_probability net n c ~input_probs in
           2.0 *. p *. (1.0 -. p)
         in
-        let scored = List.map (fun c -> (act c, Cover.literal_count c, c)) cands in
-        let best =
-          List.fold_left
-            (fun acc (a, l, c) ->
-              match acc with
-              | None -> Some (a, l, c)
-              | Some (ba, bl, _) ->
-                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
-                then Some (a, l, c)
-                else acc)
-            None scored
-        in
         Option.map
           (fun (_, _, c) ->
-            let old_cov =
-              Cover.of_truth_table
-                (Truth_table.of_expr (List.length fanins) func)
-            in
-            let a_new = act c and a_old = act old_cov in
+            let a_new = act c and a_old = act (old_cov ()) in
             ( c,
               a_new < a_old -. 1e-12
               || (Float.abs (a_new -. a_old) <= 1e-12 && lits_below c) ))
-          best
-      | Dontcare.For_power_fanout _ -> invalid_arg "reference: unsupported policy"
+          (cheapest act)
+      | Dontcare.For_power_fanout input_probs ->
+        let cost c = reference_fanout_cost net n c ~input_probs in
+        Option.map
+          (fun (a, _, c) -> (c, a < cost (old_cov ()) -. 1e-12))
+          (cheapest cost)
     in
     match chosen with
     | Some (c, true) when not (Expr.equal (Cover.to_expr c) func) ->
@@ -350,9 +489,60 @@ let reference_optimize net policy =
       else changed)
     0 (Network.topo_order net)
 
+(* [Resynth.measured] with every node's candidates from the oracle. *)
+let reference_measured net ~trace =
+  let sim = Actsim.create net ~trace in
+  let changed = ref 0 and tried = ref 0 in
+  List.iter
+    (fun n ->
+      let fanins = Network.fanins net n in
+      if (not (Network.is_input net n)) && List.length fanins <= 10 then begin
+        let original = Network.func net n in
+        let cands =
+          List.fold_left
+            (fun acc cover ->
+              let e = Expr.simplify (Cover.to_expr cover) in
+              if Expr.equal e original || List.exists (Expr.equal e) acc
+              then acc
+              else e :: acc)
+            []
+            (Dontcare.minimized_candidates (reference_dc net n))
+        in
+        let install e =
+          Network.replace_func net n e fanins;
+          Actsim.update sim n
+        in
+        let best = ref original
+        and best_score = ref (Actsim.switched_capacitance sim) in
+        List.iter
+          (fun e ->
+            incr tried;
+            install e;
+            let s = Actsim.switched_capacitance sim in
+            if s < !best_score -. 1e-9 then begin
+              best := e;
+              best_score := s
+            end)
+          cands;
+        if not (Expr.equal (Network.func net n) !best) then install !best;
+        if not (Expr.equal !best original) then incr changed
+      end)
+    (Network.topo_order net);
+  (!changed, !tried, Actsim.switched_capacitance sim)
+
 let test_optimize_matches_fresh_manager_reference () =
   let r = Lowpower.Rng.create 12 in
   let total_changed = ref 0 in
+  let same_functions case name net ref_net =
+    List.iter
+      (fun i ->
+        if not (Network.is_input net i) then
+          Alcotest.(check bool)
+            (Printf.sprintf "case %d %s: node %d function" case name i)
+            true
+            (Expr.equal (Network.func ref_net i) (Network.func net i)))
+      (Network.node_ids net)
+  in
   for case = 1 to 100 do
     let shape =
       { Gen_comb.default_shape with
@@ -360,8 +550,9 @@ let test_optimize_matches_fresh_manager_reference () =
         num_gates = 8 + (case mod 13) }
     in
     let seed_net = Gen_comb.random r shape in
+    let npi = List.length (Network.inputs seed_net) in
     let input_probs =
-      Array.init (List.length (Network.inputs seed_net)) (fun k ->
+      Array.init npi (fun k ->
           0.1 +. (0.8 *. float_of_int ((k * 5 + case) mod 9) /. 8.0))
     in
     List.iter
@@ -373,15 +564,26 @@ let test_optimize_matches_fresh_manager_reference () =
         Alcotest.(check int)
           (Printf.sprintf "case %d %s: changed count" case name)
           expected changed;
-        List.iter
-          (fun i ->
-            if not (Network.is_input net i) then
-              Alcotest.(check bool)
-                (Printf.sprintf "case %d %s: node %d function" case name i)
-                true
-                (Expr.equal (Network.func ref_net i) (Network.func net i)))
-          (Network.node_ids net))
-      [ ("area", Dontcare.For_area); ("power", Dontcare.For_power input_probs) ]
+        same_functions case name net ref_net)
+      [ ("area", Dontcare.For_area); ("power", Dontcare.For_power input_probs);
+        ("fanout", Dontcare.For_power_fanout input_probs) ];
+    let trace = Stimulus.random r ~width:npi ~length:40 () in
+    let net = Network.copy seed_net and ref_net = Network.copy seed_net in
+    let res = Resynth.measured ~verify:`Off net ~trace in
+    let changed, tried, score = reference_measured ref_net ~trace in
+    total_changed := !total_changed + res.Resynth.changed;
+    Alcotest.(check int)
+      (Printf.sprintf "case %d measured: changed count" case)
+      changed res.Resynth.changed;
+    Alcotest.(check int)
+      (Printf.sprintf "case %d measured: tried count" case)
+      tried res.Resynth.tried;
+    Alcotest.(check bool)
+      (Printf.sprintf "case %d measured: final score" case)
+      true
+      (Int64.equal (Int64.bits_of_float score)
+         (Int64.bits_of_float res.Resynth.final_score));
+    same_functions case "measured" net ref_net
   done;
   Alcotest.(check bool) "the sweep changes some nodes" true (!total_changed > 0)
 
@@ -596,6 +798,7 @@ let suite =
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
     quick "dc optimization = fresh-manager reference sweep"
       test_optimize_matches_fresh_manager_reference;
+    prop_session_matches_oracle;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
     quick "extraction reduces literals" test_extract_reduces_literals;
