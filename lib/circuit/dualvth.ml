@@ -159,16 +159,13 @@ let optimize ?(config = default_config) ?required ?slack_factor
         if Compiled.is_input c x then 0.0 else gdelay x)
   in
   let g = Compiled.timing_graph c in
-  (* With neither bound given, the engine's default limit is the initial
-     critical delay itself, so one engine serves. *)
-  let sta =
-    match (required, slack_factor) with
-    | Some r, _ -> Sta.create ~required:r g delays
-    | None, Some f ->
-      let crit = Sta.critical_delay (Sta.create g delays) in
-      Sta.create ~required:(f *. crit) g delays
-    | None, None -> Sta.create g delays
-  in
+  (* One engine serves every bound: its default limit is the initial
+     critical delay, and a slack factor scales that before any required
+     time materializes. *)
+  let sta = Sta.create ?required g delays in
+  (match (required, slack_factor) with
+  | None, Some f -> Sta.set_required_limit sta (f *. Sta.critical_delay sta)
+  | _ -> ());
   let required = Sta.required_limit sta in
   let leak_total =
     ref

@@ -254,7 +254,6 @@ let unique_delete m n =
 
 let op_ite = 0
 let op_exists = 1
-let op_and_exists = 2
 let op_restrict = 3
 let op_compose = 4
 
@@ -630,51 +629,6 @@ let exists m vs f = wrap m (exists_int m (own m f) (cube_of_vars m vs))
 
 let forall m vs f =
   wrap m (exists_int m (own m f lxor 1) (cube_of_vars m vs) lxor 1)
-
-(* Fused AND + existential quantification (relational product): never
-   materializes the conjunction when quantification collapses it. *)
-let rec and_exists_int m f g cube =
-  if f = e_false || g = e_false then e_false
-  else if f = g lxor 1 then e_false
-  else if f = g then exists_int m f cube
-  else if f = e_true then exists_int m g cube
-  else if g = e_true then exists_int m f cube
-  else begin
-    let f, g = if f <= g then (f, g) else (g, f) in
-    let v = min (top m f) (top m g) in
-    let cube = cube_above m cube v in
-    if cube = e_true then and_int m f g
-    else begin
-      let r = cache_find m op_and_exists f g cube in
-      if r >= 0 then r
-      else begin
-        let nf = f lsr 1 and ng = g lsr 1 in
-        let cf = f land 1 and cg = g land 1 in
-        let fv = m.nlvl.(nf) = v and gv = m.nlvl.(ng) = v in
-        let f0 = if fv then m.nlo.(nf) lxor cf else f in
-        let f1 = if fv then m.nhi.(nf) lxor cf else f in
-        let g0 = if gv then m.nlo.(ng) lxor cg else g in
-        let g1 = if gv then m.nhi.(ng) lxor cg else g in
-        let r =
-          if top m cube = v then begin
-            let cube' = m.nhi.(cube lsr 1) in
-            let r1 = and_exists_int m f1 g1 cube' in
-            if r1 = e_true then e_true
-            else or_int m r1 (and_exists_int m f0 g0 cube')
-          end
-          else
-            mk m v
-              (and_exists_int m f0 g0 cube)
-              (and_exists_int m f1 g1 cube)
-        in
-        cache_store m op_and_exists f g cube r;
-        r
-      end
-    end
-  end
-
-let and_exists m vs f g =
-  wrap m (and_exists_int m (own m f) (own m g) (cube_of_vars m vs))
 
 let boolean_difference m f v =
   wrap m

@@ -59,7 +59,7 @@ val stats : man -> stats
 
     The node store has no garbage collector.  A caller that builds
     scratch BDDs over long-lived ones (a don't-care pass builds each
-    node's free-variable functions over the network's global BDDs)
+    node's flipped fanout over the network's global BDDs)
     reclaims them as a stack: {!mark} the store, build, use the results,
     {!release} to the mark. *)
 
@@ -165,11 +165,6 @@ val exists : man -> int list -> t -> t
 val forall : man -> int list -> t -> t
 (** Universal quantification — the operator used by precomputation
     subcircuit selection [30]. *)
-
-val and_exists : man -> int list -> t -> t -> t
-(** [and_exists m vs f g = exists m vs (and_ m f g)], computed as a fused
-    relational product that never materializes the conjunction — the
-    workhorse of consistency-function don't-care computation. *)
 
 val boolean_difference : man -> t -> int -> t
 (** [df/dx = f|x=1 XOR f|x=0]; the sensitivity function behind Najm-style

@@ -93,9 +93,7 @@ val global_bdds : t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
     is the [i]-th primary input.  If [man] is pristine (no nodes, no
     variables), the {!bdd_input_order} interleaved order is installed
     first; pre-seeded managers are left untouched.  Variables numbered
-    past the inputs are appended below them, which is where the
-    don't-care session in [lib/synth] puts its fanin and free
-    variables. *)
+    past the inputs are appended below them. *)
 
 val output_bdd : t -> Bdd.man -> string -> Bdd.t
 (** Global function of one named output.  Builds only the output's

@@ -86,7 +86,7 @@ end
 
 type t = {
   g : graph;
-  required : float;
+  mutable required : float;
   delays : float array;
   at : float array;
   rt : float array;
@@ -104,6 +104,11 @@ type t = {
 }
 
 let required_limit t = t.required
+
+let set_required_limit t r =
+  t.required <- r;
+  t.rt_valid <- false
+
 let delay t i = t.delays.(i)
 
 (* The local refolds: must perform exactly the fold the full passes do. *)
@@ -224,7 +229,7 @@ let create ?required g delays =
   Array.iter (fun s -> is_sink.(s) <- true) g.sinks;
   let t =
     { g;
-      required = 0.0 (* placeholder; rebuilt below *);
+      required = 0.0 (* placeholder; set below *);
       delays = Array.copy delays;
       at = Array.make g.size 0.0;
       rt = Array.make g.size infinity;
@@ -236,10 +241,8 @@ let create ?required g delays =
       s_arrival_visits = 0; s_required_visits = 0 }
   in
   full_arrival t;
-  let required =
-    match required with Some r -> r | None -> critical_delay t
-  in
-  { t with required }
+  t.required <- (match required with Some r -> r | None -> critical_delay t);
+  t
 
 let set_delay t i d =
   if i < 0 || i >= t.g.size || t.topo_pos.(i) < 0 then

@@ -71,6 +71,12 @@ val create : ?required:float -> graph -> float array -> t
 (** The sink arrival limit this engine propagates requireds from. *)
 val required_limit : t -> float
 
+(** [set_required_limit t r] replaces the sink arrival limit.  Requireds
+    are materialized from [r] on the next query that needs them, so a
+    limit set before any such query (say, a factor of the initial
+    {!critical_delay}) costs no extra pass. *)
+val set_required_limit : t -> float -> unit
+
 (** Current delay of a node. *)
 val delay : t -> int -> float
 

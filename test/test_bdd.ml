@@ -75,23 +75,6 @@ let prop_quantifiers =
       agree (Bdd.exists m vs f) (Bdd_reference.exists r vs rf)
       && agree (Bdd.forall m vs f) (Bdd_reference.forall r vs rf))
 
-let prop_and_exists =
-  prop ~count:200 "and_exists = exists-of-and (reference)"
-    QCheck2.Gen.(triple (gen_expr nvars) (gen_expr nvars) gen_var_subset)
-    (fun (ea, eb, vs) ->
-      let m = Bdd.manager () in
-      let r = Bdd_reference.manager () in
-      let a = Bdd.of_expr m ea and b = Bdd.of_expr m eb in
-      let oracle =
-        Bdd_reference.exists r vs
-          (Bdd_reference.and_ r
-             (Bdd_reference.of_expr r ea)
-             (Bdd_reference.of_expr r eb))
-      in
-      agree (Bdd.and_exists m vs a b) oracle
-      && Bdd.equal (Bdd.and_exists m vs a b)
-           (Bdd.exists m vs (Bdd.and_ m a b)))
-
 let prop_compose =
   prop ~count:200 "compose/restrict match reference"
     QCheck2.Gen.(
@@ -431,7 +414,6 @@ let suite =
     prop_and_or_xor;
     prop_ite;
     prop_quantifiers;
-    prop_and_exists;
     prop_compose;
     prop_probability;
     prop_probabilities_shared;

@@ -115,6 +115,29 @@ let test_lazy_required_materialization () =
     true
     (st.Sta.required_visits > 0 && st.Sta.full_passes = 2)
 
+(* A limit set before requireds materialize costs no extra pass, and a
+   limit set before or after gives the requireds of a fresh engine
+   created with it. *)
+let test_set_required_limit () =
+  let net = gen_net 9 ~gates:60 in
+  let g = Network.timing_graph net in
+  let delays = delays_of net g in
+  let sta = Sta.create g delays in
+  let limit = 1.25 *. Sta.critical_delay sta in
+  Sta.set_required_limit sta limit;
+  let fresh = Sta.create ~required:limit g delays in
+  Alcotest.(check (float 0.0)) "worst slack" (Sta.worst_slack fresh)
+    (Sta.worst_slack sta);
+  arrays_equal "limit set before requireds" (Sta.required_array fresh)
+    (Sta.required_array sta);
+  Alcotest.(check int) "one forward and one backward pass" 2
+    (Sta.stats sta).Sta.full_passes;
+  let limit = 2.0 *. limit in
+  Sta.set_required_limit sta limit;
+  arrays_equal "limit set after requireds"
+    (Sta.required_array (Sta.create ~required:limit g delays))
+    (Sta.required_array sta)
+
 let test_set_delay_rejects_dead_nodes () =
   let net = Network.create () in
   let a = Network.add_input net in
@@ -443,6 +466,8 @@ let suite =
     test_incremental_matches_full;
     quick "revert restores bit-identical timing" test_revert_exactness;
     quick "required times materialize lazily" test_lazy_required_materialization;
+    quick "set_required_limit = fresh engine with that limit"
+      test_set_required_limit;
     quick "set_delay rejects dead nodes" test_set_delay_rejects_dead_nodes;
     quick "Network wrappers match naive propagation"
       test_network_wrappers_match_naive;

@@ -281,22 +281,10 @@ let build_expr man fanins e =
   in
   build e
 
-let reference_dc net n =
-  let man = Bdd.manager () in
-  let globals = Network.global_bdds net man in
-  let fanins = Network.fanins net n in
-  let k = List.length fanins in
-  let npi = List.length (Network.inputs net) in
-  let zvar = npi + k in
-  let pis = List.init npi Fun.id in
-  let consistency =
-    Bdd.and_list man
-      (List.mapi
-         (fun j fi ->
-           Bdd.xnor man (Bdd.var man (npi + j)) (Hashtbl.find globals fi))
-         fanins)
-  in
-  let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
+(* The free-variable ODC of [n] over the inputs, in [man] (which holds the
+   network's globals): the conjunction over every output of the
+   complement of its Boolean difference in z. *)
+let reference_odc man net n zvar =
   let free = Hashtbl.create 16 in
   List.iteri
     (fun k i -> Hashtbl.replace free i (Bdd.var man k))
@@ -312,14 +300,29 @@ let reference_dc net n =
                   (List.map (Hashtbl.find free) (Network.fanins net i)))
                (Network.func net i)))
     (Network.topo_order net);
-  let odc_global =
-    List.fold_left
-      (fun acc (_, o) ->
-        Bdd.and_ man acc
-          (Bdd.not_ man
-             (Bdd.boolean_difference man (Hashtbl.find free o) zvar)))
-      (Bdd.tru man) (Network.outputs net)
+  List.fold_left
+    (fun acc (_, o) ->
+      Bdd.and_ man acc
+        (Bdd.not_ man
+           (Bdd.boolean_difference man (Hashtbl.find free o) zvar)))
+    (Bdd.tru man) (Network.outputs net)
+
+let reference_dc net n =
+  let man = Bdd.manager () in
+  let globals = Network.global_bdds net man in
+  let fanins = Network.fanins net n in
+  let k = List.length fanins in
+  let npi = List.length (Network.inputs net) in
+  let pis = List.init npi Fun.id in
+  let consistency =
+    Bdd.and_list man
+      (List.mapi
+         (fun j fi ->
+           Bdd.xnor man (Bdd.var man (npi + j)) (Hashtbl.find globals fi))
+         fanins)
   in
+  let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
+  let odc_global = reference_odc man net n (npi + k) in
   let odc_local =
     Bdd.not_ man
       (Bdd.exists man pis
@@ -340,49 +343,167 @@ let dc_equal a b =
   && Truth_table.equal a.Dontcare.local_onset b.Dontcare.local_onset
   && Truth_table.equal a.Dontcare.dontcare b.Dontcare.dontcare
 
+let logic_nodes net =
+  List.filter (fun i -> not (Network.is_input net i)) (Network.topo_order net)
+
 (* Edits through a session: each step gives one node a new local function
    over the same fanins (a pseudo-random truth table, so the global
    functions really change) and reports it with [installed]; before the
    first step and after every step, the session's don't-cares must equal
-   the oracle's at every logic node. *)
-let prop_session_matches_oracle =
-  prop ~count:60 "dc session = fresh-manager oracle under edits"
-    QCheck2.Gen.(pair (int_bound 1_000_000) (list_size (int_range 1 16) (pair nat nat)))
-    (fun (seed, edits) ->
-      let r = Lowpower.Rng.create seed in
-      let net =
-        Gen_comb.random r
-          { Gen_comb.default_shape with
-            Gen_comb.num_inputs = 3 + (seed mod 5);
-            num_gates = 5 + (seed mod 11) }
+   the oracle's at every logic node.  Nets of 3-7 inputs get every input
+   vector, nets of 13-18 inputs random ones, so the run must take each of
+   the session's three decisions; their counts are summed into
+   [totals]. *)
+let session_edits_agree totals (seed, edits) =
+  let r = Lowpower.Rng.create seed in
+  let net =
+    Gen_comb.random r
+      { Gen_comb.default_shape with
+        Gen_comb.num_inputs =
+          (if seed land 1 = 0 then 3 + (seed mod 5) else 13 + (seed mod 6));
+        num_gates = 5 + (seed mod 11) }
+  in
+  let s = Dontcare.session net in
+  let logic = Array.of_list (logic_nodes net) in
+  let agree () =
+    Array.for_all
+      (fun n -> dc_equal (Dontcare.dc s n) (reference_dc net n))
+      logic
+  in
+  let ok =
+    agree ()
+    && List.for_all
+         (fun (pick, salt) ->
+           let n = logic.(pick mod Array.length logic) in
+           let fanins = Network.fanins net n in
+           let tt =
+             Truth_table.of_fun (List.length fanins) (fun code ->
+                 Hashtbl.hash (salt, code) land 1 = 1)
+           in
+           Network.replace_func net n
+             (Cover.to_expr (Cover.of_truth_table tt))
+             fanins;
+           Dontcare.installed s n;
+           agree ())
+         edits
+  in
+  let st = Dontcare.stats s in
+  let w, e, f = !totals in
+  totals :=
+    (w + st.Dontcare.witnessed, e + st.Dontcare.exhaustive,
+     f + st.Dontcare.fallback);
+  ok
+
+let test_session_matches_oracle () =
+  let totals = ref (0, 0, 0) in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 11 |])
+    (QCheck2.Test.make ~count:60 ~name:"session = oracle"
+       QCheck2.Gen.(
+         pair (int_bound 1_000_000) (list_size (int_range 1 16) (pair nat nat)))
+       (session_edits_agree totals));
+  let w, e, f = !totals in
+  Alcotest.(check bool) "some visit witnessed every code" true (w > 0);
+  Alcotest.(check bool) "some visit settled by exhaustive vectors" true
+    (e > 0);
+  Alcotest.(check bool) "some visit fell back to BDDs" true (f > 0)
+
+(* A 16-input AND [a] and a buffer [g] of it: the code a = 1 is reached by
+   one input vector in 2^16, which random vectors almost surely miss.
+   Behind [z = g & a] it is g's only care point; behind [z = g & ~a] it is
+   g's only don't-care point.  Either way the random regime must fall
+   back to BDDs and still equal the oracle.  The XOR [h] of two inputs is
+   settled by simulation, with no BDD node built. *)
+let test_dc_rare_code () =
+  List.iter
+    (fun (name, gate) ->
+      let net = Network.create () in
+      let xs = List.init 16 (fun _ -> Network.add_input net) in
+      let a = Network.add_node net (Expr.and_list (List.init 16 Expr.var)) xs in
+      let g = Network.add_node net (Expr.var 0) [ a ] in
+      let z = Network.add_node net gate [ g; a ] in
+      let h =
+        Network.add_node net Expr.(var 0 ^^^ var 1)
+          [ List.nth xs 0; List.nth xs 1 ]
       in
+      Network.set_output net "z" z;
+      Network.set_output net "h" h;
       let s = Dontcare.session net in
-      let logic =
-        Array.of_list
-          (List.filter
-             (fun i -> not (Network.is_input net i))
-             (Network.topo_order net))
-      in
-      let agree () =
-        Array.for_all
-          (fun n -> dc_equal (Dontcare.dc s n) (reference_dc net n))
-          logic
-      in
-      agree ()
-      && List.for_all
-           (fun (pick, salt) ->
-             let n = logic.(pick mod Array.length logic) in
-             let fanins = Network.fanins net n in
-             let tt =
-               Truth_table.of_fun (List.length fanins) (fun code ->
-                   Hashtbl.hash (salt, code) land 1 = 1)
-             in
-             Network.replace_func net n
-               (Cover.to_expr (Cover.of_truth_table tt))
-               fanins;
-             Dontcare.installed s n;
-             agree ())
-           edits)
+      let d = Dontcare.dc s h in
+      Alcotest.(check bool) (name ^ ": h equals the oracle") true
+        (dc_equal d (reference_dc net h));
+      let st = Dontcare.stats s in
+      Alcotest.(check int) (name ^ ": h witnessed") 1 st.Dontcare.witnessed;
+      Alcotest.(check int) (name ^ ": random vectors") 1008 st.Dontcare.vectors;
+      Alcotest.(check int) (name ^ ": no BDD node") 0 st.Dontcare.bdd_nodes;
+      List.iter
+        (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: node %d equals the oracle" name n)
+            true
+            (dc_equal (Dontcare.dc s n) (reference_dc net n)))
+        [ g; a; z; h ];
+      let st = Dontcare.stats s in
+      Alcotest.(check bool) (name ^ ": fell back") true
+        (st.Dontcare.fallback >= 1 && st.Dontcare.bdd_nodes > 0);
+      Alcotest.(check int) (name ^ ": no exhaustive decision") 0
+        st.Dontcare.exhaustive)
+    [ ("only care point", Expr.(var 0 &&& var 1));
+      ("only don't-care point", Expr.(var 0 &&& not_ (var 1))) ]
+
+(* On nets of at most 11 inputs every visit is decided by simulation, so
+   a session serving only [dc] builds no BDD node. *)
+let test_dc_simulated_builds_no_bdd () =
+  let r = Lowpower.Rng.create 3 in
+  for case = 0 to 8 do
+    let net =
+      Gen_comb.random r
+        { Gen_comb.default_shape with
+          Gen_comb.num_inputs = 3 + case; num_gates = 12 + case }
+    in
+    let s = Dontcare.session net in
+    List.iter
+      (fun n ->
+        Alcotest.(check bool)
+          (Printf.sprintf "case %d node %d equals the oracle" case n)
+          true
+          (dc_equal (Dontcare.dc s n) (reference_dc net n)))
+      (logic_nodes net);
+    let st = Dontcare.stats s in
+    Alcotest.(check int) (Printf.sprintf "case %d vectors" case)
+      (1 lsl (3 + case)) st.Dontcare.vectors;
+    Alcotest.(check int) (Printf.sprintf "case %d fallbacks" case) 0
+      st.Dontcare.fallback;
+    Alcotest.(check int) (Printf.sprintf "case %d BDD nodes" case) 0
+      st.Dontcare.bdd_nodes
+  done
+
+(* [Dontcare.observability] (the flipped cone) is the free-variable ODC,
+   and a session serving only it builds no value planes. *)
+let test_observability_matches_free_variable () =
+  let r = Lowpower.Rng.create 8 in
+  for case = 0 to 19 do
+    let net =
+      Gen_comb.random r
+        { Gen_comb.default_shape with
+          Gen_comb.num_inputs = 3 + (case mod 6); num_gates = 6 + case }
+    in
+    let npi = List.length (Network.inputs net) in
+    let s = Dontcare.session net in
+    List.iter
+      (fun n ->
+        let man = Bdd.manager () in
+        ignore (Network.global_bdds net man);
+        let expected = Truth_table.of_bdd npi (reference_odc man net n npi) in
+        let got =
+          Truth_table.of_expr npi (Cover.to_expr (Dontcare.observability s n))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "case %d node %d ODC" case n)
+          true (Truth_table.equal expected got))
+      (logic_nodes net);
+    Alcotest.(check int) (Printf.sprintf "case %d builds no planes" case) 0
+      (Dontcare.stats s).Dontcare.vectors
+  done
 
 (* Reference sweep: the don't-care optimizer scoring each candidate in a
    fresh BDD manager of its own, with no state shared between the
@@ -798,7 +919,13 @@ let suite =
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
     quick "dc optimization = fresh-manager reference sweep"
       test_optimize_matches_fresh_manager_reference;
-    prop_session_matches_oracle;
+    quick "dc session = fresh-manager oracle under edits"
+      test_session_matches_oracle;
+    quick "dc random regime: rare code falls back to BDDs" test_dc_rare_code;
+    quick "dc decided by simulation builds no BDD node"
+      test_dc_simulated_builds_no_bdd;
+    quick "observability = free-variable ODC, no planes"
+      test_observability_matches_free_variable;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
     quick "extraction reduces literals" test_extract_reduces_literals;
