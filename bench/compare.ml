@@ -44,7 +44,8 @@ let pairs =
   [ ("event_sim_mult4_50vec_reference", "event_sim_mult4_50vec");
     ("prob_simulated_mult4_4k_bitsim", "prob_simulated_mult4_4k");
     ("seq_sim_counter16_1k_bitsim", "seq_sim_counter16_1k");
-    ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored") ]
+    ("cec_adder8_vs_factored_incremental", "cec_adder8_vs_factored");
+    ("prob_exact_mult8", "prob_exact_mult8_bdd") ]
 
 (* Sub-percent ratios are the headline of incremental variants; two
    decimals would print them as 0.00x. *)

@@ -246,6 +246,35 @@ let prob_sim_bitsim =
            (Probability.simulated ~packed:true net
               ~rng:(Lowpower.Rng.create 11) ~input_probs ~vectors:4096)))
 
+(* Exact signal probabilities of the 8-bit array multiplier's subject
+   graph (1,000 NAND2/INV nodes, 16 inputs) under uniform inputs.  Its
+   global BDDs (151k nodes) pass [Probability.exact]'s budget, so it
+   counts all 2^16 vectors; the [_bdd] entry builds the same table from
+   the global BDDs, one shared-memo sweep over every node's root. *)
+let prob_exact_workload () =
+  let subj = Subject.decompose (Circuits.array_multiplier 8).Circuits.net in
+  (subj, Probability.uniform_inputs subj)
+
+let prob_exact =
+  let subj, input_probs = prob_exact_workload () in
+  Test.make ~name:"prob_exact_mult8"
+    (Staged.stage (fun () -> ignore (Probability.exact subj ~input_probs)))
+
+let prob_exact_bdd =
+  let subj, input_probs = prob_exact_workload () in
+  Test.make ~name:"prob_exact_mult8_bdd"
+    (Staged.stage (fun () ->
+         let man = Bdd.manager () in
+         let bdds = Network.global_bdds subj man in
+         let ids, roots =
+           List.split
+             (List.rev (Hashtbl.fold (fun i b acc -> (i, b) :: acc) bdds []))
+         in
+         let ps = Bdd.probabilities man (fun v -> input_probs.(v)) roots in
+         let probs = Hashtbl.create (Hashtbl.length bdds) in
+         List.iter2 (Hashtbl.replace probs) ids ps;
+         ignore probs))
+
 (* Sequential power simulation of the synthesized 16-state counter over 1k
    cycles: the zero-delay combinational transition counting is the packed
    vs event-driven split; the serial register loop is common to both. *)
@@ -322,7 +351,8 @@ let tests =
     actsim_incremental_1k;
     dualvth_opt_mult4; list_scheduling; iss_run;
     encoding_search; odc_guard; seq_chain; streaming_kernel;
-    prob_sim_scalar; prob_sim_bitsim; seq_sim_scalar; seq_sim_bitsim;
+    prob_sim_scalar; prob_sim_bitsim; prob_exact; prob_exact_bdd;
+    seq_sim_scalar; seq_sim_bitsim;
     sat_pigeon; cec_adder_vs_factored; cec_adder_vs_factored_incremental ]
 
 (* The rewrite search is measured one-shot (wall clock over one run)

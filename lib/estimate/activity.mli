@@ -14,8 +14,12 @@ val of_probability : float -> float
 (** [2 p (1 - p)]. *)
 
 val zero_delay : ?exact:bool -> Network.t -> input_probs:float array -> t
-(** Per-node zero-delay activity from signal probabilities
-    ([exact] defaults to [true]; otherwise the independence estimate). *)
+(** Per-node zero-delay activity [2 p (1-p)] from signal probabilities:
+    {!Probability.exact} when [exact] (the default) holds, which with
+    every input at 1/2 and large BDDs counts all input vectors instead,
+    with the same floats; otherwise the independence estimate
+    {!Probability.approximate}.  The table is filled by iterating the
+    probability table, so it too has one fixed order. *)
 
 val transition_density : Network.t -> input_probs:float array
   -> input_densities:float array -> t

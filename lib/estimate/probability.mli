@@ -5,8 +5,9 @@
     [2 p (1-p)] per cycle when successive input vectors are independent.
 
     Two estimators are provided, matching the survey's framing:
-    - {!exact}: global BDDs over the primary inputs; linear in BDD size and
-      exact for spatially independent inputs.
+    - {!exact}: global BDDs over the primary inputs, or exhaustive
+      word-parallel counting when every input is 1/2 and the BDDs grow
+      large; exact for spatially independent inputs.
     - {!approximate}: forward propagation assuming node fanins are
       independent — fast, but inaccurate under reconvergent fanout. *)
 
@@ -19,9 +20,33 @@ val check_probs : Network.t -> float array -> unit
     makes on its [input_probs]. *)
 
 val exact : Network.t -> input_probs:float array -> t
-(** Exact signal probabilities via global BDDs.  [input_probs.(i)] is the
-    probability that primary input [i] is 1.  Raises [Invalid_argument] on
-    arity mismatch or probabilities outside [0,1]. *)
+(** Exact signal probabilities.  [input_probs.(i)] is the probability that
+    primary input [i] is 1.  Raises [Invalid_argument] on arity mismatch or
+    probabilities outside [0,1].
+
+    There are two ways to compute them, and the caller sees no difference:
+    - Global BDDs ({!Network.global_bdds}), weighed by one shared-memo
+      sweep ({!Bdd.probabilities}).  Always used when some input is not
+      1/2 or there are more than 40 inputs.
+    - Counting: simulate all [2^n] input vectors with {!Bitsim}, 63 to a
+      word in its exhaustive layout, and divide each node's count of ones
+      by [2^n].
+    With every input at 1/2, each step of the BDD sweep, [p hi + (1-p) lo]
+    and [1 - p], works on numbers k/2^n, which binary64 holds exactly for
+    n <= 52.  So each BDD float is (vectors setting the node) / 2^n
+    exactly, which is what counting computes: the two give the same
+    floats bit for bit.
+
+    Budget: with every input at 1/2 (and n <= 40) the BDDs are built under
+    a node budget, the count's cost ([Network.node_count] x ceil(2^n/63)
+    word evaluations) divided by 64.  Once the manager passes it, the
+    build stops and the net is counted.  So nets with small BDDs stay on
+    BDDs, and nets whose BDDs blow up (multipliers) are counted at a
+    bounded extra cost.
+
+    Either way the table has one entry per node and is filled in one fixed
+    order, so folds over it (float sums such as
+    {!Activity.switched_capacitance}) do not depend on the way. *)
 
 val approximate : Network.t -> input_probs:float array -> t
 (** Independence-propagation estimate: each node's probability is computed

@@ -230,37 +230,41 @@ let adopt_input_order t man =
     Bdd.set_order man (bdd_input_order t)
 
 (* Shared builder behind [global_bdds] and [output_bdd]; [keep] limits the
-   build to a cone. *)
-let build_global_bdds t man ~keep =
+   build to a cone, and the build stops after the first node that leaves
+   [man] holding more than [max_nodes] nodes. *)
+let build_global_bdds ?(max_nodes = max_int) t man ~keep =
   let bdds = Hashtbl.create (Hashtbl.length t.nodes) in
   List.iteri
     (fun k i -> if keep i then Hashtbl.replace bdds i (Bdd.var man k))
     (inputs t);
-  List.iter
-    (fun i ->
-      if keep i then
-        let n = get t i in
-        match n.kind with
-        | Input -> ()
-        | Logic ->
-          let fanin_bdds =
-            Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
-          in
-          let rec build = function
-            | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
-            | Expr.Var v -> fanin_bdds.(v)
-            | Expr.Not e -> Bdd.not_ man (build e)
-            | Expr.And es -> Bdd.and_list man (List.map build es)
-            | Expr.Or es -> Bdd.or_list man (List.map build es)
-            | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
-          in
-          Hashtbl.replace bdds i (build n.nfunc))
-    (topo_order t);
+  let rec go = function
+    | [] -> ()
+    | i :: rest ->
+      (if keep i then
+         let n = get t i in
+         match n.kind with
+         | Input -> ()
+         | Logic ->
+           let fanin_bdds =
+             Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
+           in
+           let rec build = function
+             | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
+             | Expr.Var v -> fanin_bdds.(v)
+             | Expr.Not e -> Bdd.not_ man (build e)
+             | Expr.And es -> Bdd.and_list man (List.map build es)
+             | Expr.Or es -> Bdd.or_list man (List.map build es)
+             | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
+           in
+           Hashtbl.replace bdds i (build n.nfunc));
+      if Bdd.node_count man <= max_nodes then go rest
+  in
+  go (topo_order t);
   bdds
 
-let global_bdds t man =
+let global_bdds ?max_nodes t man =
   adopt_input_order t man;
-  build_global_bdds t man ~keep:(fun _ -> true)
+  build_global_bdds ?max_nodes t man ~keep:(fun _ -> true)
 
 let output_bdd t man output_name =
   match List.assoc_opt output_name (outputs t) with

@@ -88,12 +88,18 @@ val bdd_input_order : t -> int array
     first in declared order.  Entry [l] is the input position placed at
     level [l]. *)
 
-val global_bdds : t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
+val global_bdds : ?max_nodes:int -> t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
 (** Global function of every node over the primary inputs; BDD variable [i]
     is the [i]-th primary input.  If [man] is pristine (no nodes, no
     variables), the {!bdd_input_order} interleaved order is installed
     first; pre-seeded managers are left untouched.  Variables numbered
-    past the inputs are appended below them. *)
+    past the inputs are appended below them.
+
+    [max_nodes] (default unbounded) stops the build, in topological order,
+    after the first node that leaves [man] holding more than [max_nodes]
+    nodes ({!Bdd.node_count}); the table then lacks the nodes after it.
+    On a pristine manager the budget was passed iff
+    [Bdd.node_count man > max_nodes] afterwards. *)
 
 val output_bdd : t -> Bdd.man -> string -> Bdd.t
 (** Global function of one named output.  Builds only the output's

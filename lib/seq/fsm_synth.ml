@@ -172,6 +172,14 @@ let verify_packed t stg ~rng ~cycles =
     Array.of_list
       (List.map (fun (_, i) -> Compiled.index_of_id c i) t.output_nodes)
   in
+  (* A register with an enable loads [d] only in lanes where the enable
+     is 1 and holds its word elsewhere. *)
+  let en_idx =
+    Array.of_list
+      (List.map
+         (fun r -> Option.map (Compiled.index_of_id c) r.Seq_circuit.enable)
+         (Seq_circuit.registers t.circuit))
+  in
   let nbits = Array.length state_pos in
   let nouts = Array.length out_idx in
   let in_words = Array.make (List.length (Network.inputs net)) 0 in
@@ -221,7 +229,13 @@ let verify_packed t stg ~rng ~cycles =
       end
     done;
     for bidx = 0 to nbits - 1 do
-      q_words.(bidx) <- plane.(d_idx.(bidx))
+      let d = plane.(d_idx.(bidx)) in
+      q_words.(bidx) <-
+        (match en_idx.(bidx) with
+        | None -> d
+        | Some e ->
+          let en = plane.(e) in
+          (d land en) lor (q_words.(bidx) land lnot en))
     done
   done;
   !ok

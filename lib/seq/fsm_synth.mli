@@ -37,4 +37,6 @@ val verify : ?packed:bool -> t -> Stg.t -> rng:Lowpower.Rng.t -> cycles:int
     word-parallel: 63 independent runs of [cycles] steps each, one per bit
     lane, stepped through a single bit-plane evaluation per cycle — 63x
     the coverage of the scalar check ([~packed:false], the reference the
-    tests compare it against) at essentially its cost. *)
+    tests compare it against) at essentially its cost.  Both honour
+    register load-enables: a register holds its value in cycles (lanes)
+    where its enable is 0. *)

@@ -23,6 +23,27 @@ let popcount x =
 
 let lane_mask n = if n >= vectors_per_word then -1 else (1 lsl n) - 1
 
+(* Bit [k] of vectors 63b .. 63b + 62.  For k >= 6 it holds its value for
+   2^k >= 64 vectors at a time, so it changes at most once in the block:
+   [r], the block's start within bit k's period of 2^(k+1) vectors, gives
+   the ones as one lane range, a prefix when bit k starts at 1 and a
+   suffix when it starts at 0. *)
+let exhaustive_word k blk =
+  let v0 = blk * vectors_per_word in
+  if k < 6 then begin
+    let w = ref 0 in
+    for l = 0 to vectors_per_word - 1 do
+      if (v0 + l) land (1 lsl k) <> 0 then w := !w lor (1 lsl l)
+    done;
+    !w
+  end
+  else begin
+    let half = 1 lsl k in
+    let r = v0 land ((2 * half) - 1) in
+    if r >= half then lane_mask ((2 * half) - r)
+    else lnot (lane_mask (half - r))
+  end
+
 (* Word-parallel analogue of [Compiled.compile_expr]: fanin positions are
    resolved to plane indices at compile time and the closure evaluates all
    63 lanes with one boolean-algebra word op per connective. *)

@@ -14,6 +14,13 @@
     counts with {!lane_mask}; lanes above the mask hold garbage and are
     harmless.
 
+    Exhaustive layout: to enumerate all [2^n] vectors of an [n]-input
+    network, block [b] (one word per input) carries vectors [63b] to
+    [63b + 62], lane [l] being vector [63b + l] and input [k] its bit [k].
+    {!exhaustive_word} builds those input words; the last block's lanes
+    past [2^n - 1] carry vectors beyond the range, whose low [n] bits
+    repeat real vectors.
+
     A [t] is immutable after {!of_compiled} and safe to share across
     OCaml 5 domains — [eval_into] writes only the caller-owned plane, so
     one engine can serve several domains, each with its own plane. *)
@@ -70,3 +77,10 @@ val popcount : int -> int
 val lane_mask : int -> int
 (** [lane_mask n] has lanes [0..n-1] set ([n >= 63] gives all lanes) —
     the mask for counting a final partial word. *)
+
+val exhaustive_word : int -> int -> int
+(** [exhaustive_word k b] is input [k]'s word in block [b] of the
+    exhaustive layout: lane [l] holds bit [k] of vector [63b + l].  For
+    [k >= 6] that bit changes at most once in a block, so the word is one
+    lane range, built in O(1); for [k < 6] it is built lane by lane.
+    Requires [0 <= k < 61] and [0 <= 63b + 62 < 2^61]. *)

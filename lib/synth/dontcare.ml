@@ -31,8 +31,9 @@ let bdd_of_expr man fanins e =
 
 (* Word-parallel value planes of every node over one fixed vector set, in
    [Compiled] indices.  A net with at most [exhaustive_inputs] inputs gets
-   every input vector: lane l of block b carries vector (63b + l) mod
-   2^npi, so the lanes of the last block past 2^npi repeat real vectors.
+   every input vector in [Bitsim]'s exhaustive layout (lane l of block b
+   carries vector 63b + l), so the lanes of the last block past 2^npi
+   repeat real vectors.
    A wider net gets [random_blocks] blocks of random vectors from a fixed
    seed.  [installed] keeps the planes current by re-simulating the
    changed node's fanout, as [Actsim] does for its trace. *)
@@ -116,14 +117,7 @@ let planes s =
           Array.iteri
             (fun k x ->
               plane.(x) <-
-                (if all_vectors then begin
-                   let acc = ref 0 in
-                   for l = 0 to w - 1 do
-                     if ((b * w) + l) land (1 lsl k) <> 0 then
-                       acc := !acc lor (1 lsl l)
-                   done;
-                   !acc
-                 end
+                (if all_vectors then Bitsim.exhaustive_word k b
                  else Int64.to_int (Lowpower.Rng.bits64 rng)))
             (Compiled.inputs c);
           Array.iter

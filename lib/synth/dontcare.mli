@@ -27,9 +27,10 @@ type dc = {
     A pass visits many nodes of one network; a session serves the whole
     pass.  On the first {!dc} it simulates every node over one fixed
     vector set, 63 vectors to a word: all [2^npi] input vectors when the
-    net has at most 11 inputs, otherwise 1,008 random vectors from a fixed
-    seed.  A visit re-simulates the node's transitive fanout with the
-    node's words complemented.  A lane where some output changes is
+    net has at most 11 inputs (in {!Bitsim.exhaustive_word}'s layout),
+    otherwise 1,008 random vectors from a fixed seed.  A visit
+    re-simulates the node's transitive fanout with the node's words
+    complemented.  A lane where some output changes is
     observable, and the fanin code it carries there is a care point.  The
     visit then takes one of three decisions:
     - every fanin code is witnessed: the don't-care set is empty;

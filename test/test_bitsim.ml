@@ -49,6 +49,36 @@ let test_lane_mask () =
   Alcotest.(check int) "clamped" (-1) (Bitsim.lane_mask 99);
   Alcotest.(check int) "62 lanes" max_int (Bitsim.lane_mask 62)
 
+(* ---- exhaustive input words ------------------------------------------ *)
+
+(* Lane l of block b carries vector 63b + l; input k is its bit k. *)
+let naive_exhaustive_word k blk =
+  let w = ref 0 in
+  for l = 0 to 62 do
+    if (((63 * blk) + l) lsr k) land 1 = 1 then w := !w lor (1 lsl l)
+  done;
+  !w
+
+let test_exhaustive_word_blocks () =
+  (* Blocks 0 and 1, and the last block of every 1..20-input enumeration. *)
+  let blocks =
+    [ 0; 1 ] @ List.init 20 (fun n -> (((1 lsl (n + 1)) + 62) / 63) - 1)
+  in
+  for k = 0 to 19 do
+    List.iter
+      (fun blk ->
+        Alcotest.(check int)
+          (Printf.sprintf "input %d, block %d" k blk)
+          (naive_exhaustive_word k blk)
+          (Bitsim.exhaustive_word k blk))
+      blocks
+  done
+
+let prop_exhaustive_word_random_blocks =
+  prop ~count:1000 "exhaustive words equal the per-lane formula"
+    QCheck2.Gen.(pair (0 -- 19) (0 -- ((1 lsl 20) / 63)))
+    (fun (k, blk) -> Bitsim.exhaustive_word k blk = naive_exhaustive_word k blk)
+
 (* ---- Rng.bernoulli_word / Rng.stream --------------------------------- *)
 
 let test_bernoulli_word_reproducible () =
@@ -369,11 +399,48 @@ let test_verify_packed_rejects_mutant () =
         (Fsm_synth.verify ~packed:false synth stg ~rng:(rng ()) ~cycles:100))
     (synth ()).Fsm_synth.output_nodes
 
+(* Gated random FSMs: with every register enable replaced by one
+   constant-false node the registers never leave reset, so a check that
+   ignored enables would still accept the circuit. *)
+let test_verify_reads_enables () =
+  for seed = 1 to 20 do
+    let stg =
+      Gen_fsm.random (Lowpower.Rng.create seed) ~num_states:6 ~num_inputs:2
+        ~num_outputs:2 ()
+    in
+    let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:6) in
+    let gated = Clock_gate.gate_fsm synth stg in
+    let verify ~packed c =
+      Fsm_synth.verify ~packed c stg ~rng:(rng ()) ~cycles:100
+    in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check bool) (name "packed accepts gated") true
+      (verify ~packed:true gated);
+    Alcotest.(check bool) (name "scalar accepts gated") true
+      (verify ~packed:false gated);
+    let net = Seq_circuit.network gated.Fsm_synth.circuit in
+    let off = Network.add_node net (Expr.Const false) [] in
+    let regs =
+      List.map
+        (fun r -> { r with Seq_circuit.enable = Some off })
+        (Seq_circuit.registers gated.Fsm_synth.circuit)
+    in
+    let stuck =
+      { gated with Fsm_synth.circuit = Seq_circuit.create net regs }
+    in
+    Alcotest.(check bool) (name "packed rejects stuck enables") false
+      (verify ~packed:true stuck);
+    Alcotest.(check bool) (name "scalar rejects stuck enables") false
+      (verify ~packed:false stuck)
+  done
+
 let suite =
   [
     quick "popcount edge cases" test_popcount_edges;
     prop_popcount_matches_naive;
     quick "lane masks" test_lane_mask;
+    quick "exhaustive words at fixed blocks" test_exhaustive_word_blocks;
+    prop_exhaustive_word_random_blocks;
     quick "bernoulli_word reproducible" test_bernoulli_word_reproducible;
     quick "bernoulli_word degenerate probabilities"
       test_bernoulli_word_degenerate;
@@ -397,4 +464,5 @@ let suite =
       test_seq_sim_packed_with_enables;
     quick "packed verify accepts correct FSMs" test_verify_packed_accepts_correct;
     quick "packed verify rejects a mutant" test_verify_packed_rejects_mutant;
+    quick "verify reads register enables" test_verify_reads_enables;
   ]

@@ -71,6 +71,92 @@ let test_simulated_matches_exact () =
         (max p 0.02) (max (Hashtbl.find s i) 0.02))
     e
 
+(* ---- uniform inputs: exhaustive counting against global BDDs ---------- *)
+
+(* The global-BDD algorithm, kept as the oracle: one shared-memo sweep
+   over every node's root, and the table filled from a fold over the
+   build table. *)
+let bdd_oracle net =
+  let man = Bdd.manager () in
+  let bdds = Network.global_bdds net man in
+  let ids, roots =
+    List.split (List.rev (Hashtbl.fold (fun i b acc -> (i, b) :: acc) bdds []))
+  in
+  let ps = Bdd.probabilities man (fun _ -> 0.5) roots in
+  let probs = Hashtbl.create (Hashtbl.length bdds) in
+  List.iter2 (Hashtbl.replace probs) ids ps;
+  probs
+
+(* A table's fold sequence with the floats as bits.  Equal sequences mean
+   the same ids with the same floats bit for bit, visited in the same
+   order, which float sums folded over the table depend on. *)
+let fold_bits t =
+  Hashtbl.fold (fun i p acc -> (i, Int64.bits_of_float p) :: acc) t []
+
+let exact_equals_oracle net =
+  let input_probs = Probability.uniform_inputs net in
+  fold_bits (Probability.exact net ~input_probs) = fold_bits (bdd_oracle net)
+
+(* A random net over [n] inputs, 0 included: each gate applies a random
+   function to 1-3 earlier signals (repeats allowed), or is a constant
+   while there are none; every gate is an output. *)
+let random_net seed n gates =
+  let rng = Lowpower.Rng.create seed in
+  let net = Network.create () in
+  let signals = ref [||] in
+  for _ = 1 to n do
+    signals := Array.append !signals [| Network.add_input net |]
+  done;
+  for g = 1 to gates do
+    let avail = Array.length !signals in
+    let id =
+      if avail = 0 then
+        Network.add_node net (Expr.Const (Lowpower.Rng.int rng 2 = 0)) []
+      else begin
+        let a = 1 + Lowpower.Rng.int rng (min 3 avail) in
+        let fanins =
+          List.init a (fun _ -> !signals.(Lowpower.Rng.int rng avail))
+        in
+        let vs = List.init a Expr.var in
+        let f =
+          match Lowpower.Rng.int rng 4 with
+          | 0 -> Expr.and_list vs
+          | 1 -> Expr.not_ (Expr.or_list vs)
+          | 2 -> List.fold_left Expr.( ^^^ ) (List.hd vs) (List.tl vs)
+          | _ ->
+            Expr.ite (Expr.var 0) (Expr.var (a - 1))
+              (Expr.not_ (Expr.var (a / 2)))
+        in
+        Network.add_node net f fanins
+      end
+    in
+    Network.set_output net (Printf.sprintf "g%d" g) id;
+    signals := Array.append !signals [| id |]
+  done;
+  net
+
+let prop_exact_equals_bdd_oracle =
+  prop ~count:300 "uniform exact probabilities equal the BDD oracle bitwise"
+    QCheck2.Gen.(triple (int_bound 10_000) (0 -- 14) (1 -- 60))
+    (fun (seed, n, gates) -> exact_equals_oracle (random_net seed n gates))
+
+(* The 6-bit multiplier's subject graph: its global BDDs pass the budget
+   (it is counted); the 8-bit ripple adder's stay under it. *)
+let test_exact_counted_and_bdd_nets () =
+  Alcotest.(check bool) "multiplier 6 subject graph" true
+    (exact_equals_oracle
+       (Subject.decompose (Circuits.array_multiplier 6).Circuits.net));
+  Alcotest.(check bool) "ripple adder 8" true
+    (exact_equals_oracle (Circuits.ripple_adder 8).Circuits.net)
+
+(* 2^n vectors leave 1, 2, 1 and 2 real lanes in the last 63-lane block. *)
+let test_exact_last_block_lanes () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "%d inputs" n) true
+        (exact_equals_oracle (random_net (100 + n) n 40)))
+    [ 0; 1; 6; 7 ]
+
 let test_probability_validation () =
   let net, _ = and_net () in
   expect_invalid_arg "arity" (fun () ->
@@ -148,6 +234,9 @@ let suite =
     quick "approximate errs on reconvergence" test_approx_errs_on_reconvergence;
     quick "approximate exact on trees" test_approx_equals_exact_on_trees;
     quick "monte carlo matches exact" test_simulated_matches_exact;
+    prop_exact_equals_bdd_oracle;
+    quick "exact on counted and BDD nets" test_exact_counted_and_bdd_nets;
+    quick "exact at last-block lane counts" test_exact_last_block_lanes;
     quick "probability input validation" test_probability_validation;
     quick "activity formula 2p(1-p)" test_activity_formula;
     quick "zero-delay activity" test_zero_delay_activity;
