@@ -600,7 +600,7 @@ let e12_clockgate () =
     (fun enable_prob ->
       let stg = Gen_fsm.counter ~bits:4 in
       let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:16) in
-      let gated = Clock_gate.gate_fsm synth stg in
+      let gated = Clock_gate.gate_fsm synth in
       let dist = Markov.biased_inputs stg ~bit_probs:[| enable_prob |] in
       let sim c =
         Fsm_synth.simulate_inputs c stg ~rng:(rng 82) ~dist ~cycles:2000

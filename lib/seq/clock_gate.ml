@@ -61,9 +61,7 @@ let rank banks =
          (name, r, r.ungated_energy -. r.gated_energy))
   |> List.stable_sort (fun (_, _, s1) (_, _, s2) -> compare s2 s1)
 
-let fsm_gating_fraction = Markov.self_loop_probability
-
-let gate_fsm synth _stg =
+let gate_fsm synth =
   let net = Seq_circuit.network synth.Fsm_synth.circuit in
   let xor_bits =
     List.map2

@@ -42,12 +42,7 @@ val rank :
     first when the gating logic budget is limited, decided by measured
     workload traces rather than duty-cycle assumptions. *)
 
-val fsm_gating_fraction : Stg.t -> Markov.input_dist -> float
-(** The [4] opportunity on an FSM: steady-state fraction of cycles on
-    self-loop edges, where next-state computation and the state register
-    can be disabled. *)
-
-val gate_fsm : Fsm_synth.t -> Stg.t -> Fsm_synth.t
+val gate_fsm : Fsm_synth.t -> Fsm_synth.t
 (** Add self-loop gating to a synthesized FSM: a comparator network detects
     [next_state = current_state] and disables the state registers' load in
     those cycles.  Functionally invisible (holding equals reloading the

@@ -12,9 +12,6 @@ type t = {
   codes : int array; (** state -> code; injective, codes < 2^bits *)
 }
 
-val min_bits : int -> int
-(** Bits needed to encode that many states. *)
-
 val validate : num_states:int -> t -> unit
 (** Raises [Invalid_argument] on duplicate or out-of-range codes. *)
 

@@ -8,13 +8,11 @@ type t = {
 
 let bit x k = x land (1 lsl k) <> 0
 
-let synthesize ?(reset_state = 0) ?(ff_clock_cap = 2.0) stg enc =
+let synthesize stg enc =
   Encode.validate ~num_states:(Stg.num_states stg) enc;
   let ni = Stg.num_inputs stg and bits = enc.Encode.bits in
   if ni + bits > 16 then
     invalid_arg "Fsm_synth.synthesize: input bits + state bits > 16";
-  if reset_state < 0 || reset_state >= Stg.num_states stg then
-    invalid_arg "Fsm_synth.synthesize: reset state out of range";
   let nvars = ni + bits in
   let state_of_code = Hashtbl.create 16 in
   Array.iteri
@@ -76,7 +74,7 @@ let synthesize ?(reset_state = 0) ?(ff_clock_cap = 2.0) stg enc =
         Network.set_output net name id;
         (name, id))
   in
-  let reset_code = enc.Encode.codes.(reset_state) in
+  let reset_code = enc.Encode.codes.(0) in
   let regs =
     List.mapi
       (fun b (q, d) ->
@@ -85,7 +83,7 @@ let synthesize ?(reset_state = 0) ?(ff_clock_cap = 2.0) stg enc =
           q;
           enable = None;
           init = bit reset_code b;
-          clock_cap = ff_clock_cap;
+          clock_cap = 2.0;
         })
       (List.combine state_ids next_state_nodes)
   in
@@ -116,8 +114,10 @@ let simulate_inputs t stg ~rng ~dist ~cycles =
   let stim = stimulus_of_dist stg ~rng ~dist ~cycles in
   Seq_circuit.simulate t.circuit stim
 
-let verify_scalar t stg ~rng ~cycles =
-  let ni = Stg.num_inputs stg in
+(* Output bit [b] of the machine is the network output named [out<b>]. *)
+let output_bit name = Scanf.sscanf name "out%d" Fun.id
+
+let verify t stg ~rng ~cycles =
   let dist = Markov.uniform_inputs stg in
   let stim = stimulus_of_dist stg ~rng ~dist ~cycles in
   let stats = Seq_circuit.simulate t.circuit stim in
@@ -134,112 +134,82 @@ let verify_scalar t stg ~rng ~cycles =
       let expected = Stg.output stg state i in
       let got = ref 0 in
       List.iter
-        (fun (nm, v) ->
-          if v then
-            Scanf.sscanf nm "out%d" (fun b -> got := !got lor (1 lsl b)))
+        (fun (nm, v) -> if v then got := !got lor (1 lsl output_bit nm))
         outs;
       if !got <> expected then false
       else check (Stg.next stg state i) stim_rest out_rest
     | _, _ -> false
   in
-  ignore ni;
   check 0 stim stats.Seq_circuit.outputs
 
-(* Word-parallel co-simulation: each of the 63 lanes is an independent
-   run of [cycles] steps with its own input stream, all stepped at once
-   through one bit-plane evaluation per cycle — 63x the coverage of the
-   scalar check at the same gate-evaluation cost. *)
-let verify_packed t stg ~rng ~cycles =
+(* Lane [l] of block [blk] is the vector [v = 63 blk + l] of
+   [Bitsim.exhaustive_word]'s layout over the free inputs followed by the
+   registers' q nodes: input code [v mod 2^ni], state code [v lsr ni].
+   Only lanes whose state code is a reachable state's are read. *)
+let implements t stg =
   let ni = Stg.num_inputs stg in
-  let dist = Markov.uniform_inputs stg in
+  let codes = t.encoding.Encode.codes in
   let net = Seq_circuit.network t.circuit in
+  let regs = Array.of_list (Seq_circuit.registers t.circuit) in
+  let free = Seq_circuit.free_inputs t.circuit in
+  let nbits = Array.length regs in
+  nbits = t.encoding.Encode.bits
+  && List.length free = ni
+  && Array.for_all Fun.id
+       (Array.mapi (fun k r -> r.Seq_circuit.init = bit codes.(0) k) regs)
+  &&
   let b = Bitsim.of_network net in
   let c = Bitsim.compiled b in
+  let idx = Compiled.index_of_id c in
+  let pos = Network.input_index net in
+  let free_pos = Array.of_list (List.map pos free) in
+  let q_pos = Array.map (fun r -> pos r.Seq_circuit.q) regs in
+  let d_idx = Array.map (fun r -> idx r.Seq_circuit.d) regs in
+  let en_idx = Array.map (fun r -> Option.map idx r.Seq_circuit.enable) regs in
+  let out_bits =
+    Array.map (fun (nm, x) -> (output_bit nm, x)) (Compiled.outputs c)
+  in
+  let state_of = Array.make (1 lsl nbits) (-1) in
+  List.iter (fun s -> state_of.(codes.(s)) <- s) (Stg.reachable stg ~from:0);
+  let nvec = 1 lsl (ni + nbits) in
   let lanes = Bitsim.vectors_per_word in
-  let pos_of =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun k i -> Hashtbl.replace tbl i k) (Network.inputs net);
-    fun i -> Hashtbl.find tbl i
-  in
-  let free_pos =
-    Array.of_list (List.map pos_of (Seq_circuit.free_inputs t.circuit))
-  in
-  let state_pos = Array.of_list (List.map pos_of t.state_inputs) in
-  let d_idx =
-    Array.of_list (List.map (Compiled.index_of_id c) t.next_state_nodes)
-  in
-  let out_idx =
-    Array.of_list
-      (List.map (fun (_, i) -> Compiled.index_of_id c i) t.output_nodes)
-  in
-  (* A register with an enable loads [d] only in lanes where the enable
-     is 1 and holds its word elsewhere. *)
-  let en_idx =
-    Array.of_list
-      (List.map
-         (fun r -> Option.map (Compiled.index_of_id c) r.Seq_circuit.enable)
-         (Seq_circuit.registers t.circuit))
-  in
-  let nbits = Array.length state_pos in
-  let nouts = Array.length out_idx in
   let in_words = Array.make (List.length (Network.inputs net)) 0 in
   let plane = Array.make (Bitsim.size b) 0 in
-  (* Register words replicate each bit of the reset code across lanes. *)
-  let q_words = Array.make nbits 0 in
-  List.iteri
-    (fun bidx r -> q_words.(bidx) <- (if r.Seq_circuit.init then -1 else 0))
-    (Seq_circuit.registers t.circuit);
-  (* The STG trace is tracked per lane from state 0, as the scalar check
-     does.  [split] advances the caller's generator once; each lane then
-     draws its stream from a pure [Rng.stream]. *)
-  let base = Lowpower.Rng.split rng in
-  let lane_rng = Array.init lanes (fun l -> Lowpower.Rng.stream base l) in
-  let states = Array.make lanes 0 in
-  let codes = Array.make lanes 0 in
-  let ok = ref true in
-  let cycle = ref 0 in
-  while !ok && !cycle < cycles do
-    incr cycle;
-    for l = 0 to lanes - 1 do
-      codes.(l) <- sample_code lane_rng.(l) dist
+  let lane x l = (plane.(x) lsr l) land 1 = 1 in
+  (* The outputs must be the STG's, and the word the registers load (d
+     where the enable is 1 or absent, q where it is 0) the next state's
+     code. *)
+  let pair_ok v l =
+    let code = v lsr ni and i = v land ((1 lsl ni) - 1) in
+    let s = state_of.(code) in
+    let got =
+      Array.fold_left
+        (fun acc (o, x) -> if lane x l then acc lor (1 lsl o) else acc)
+        0 out_bits
+    in
+    let loaded = ref 0 in
+    for k = 0 to nbits - 1 do
+      let load = match en_idx.(k) with None -> true | Some e -> lane e l in
+      if (if load then lane d_idx.(k) l else bit code k) then
+        loaded := !loaded lor (1 lsl k)
     done;
-    for k = 0 to ni - 1 do
-      let w = ref 0 in
-      for l = 0 to lanes - 1 do
-        if bit codes.(l) k then w := !w lor (1 lsl l)
-      done;
-      in_words.(free_pos.(k)) <- !w
-    done;
-    for bidx = 0 to nbits - 1 do
-      in_words.(state_pos.(bidx)) <- q_words.(bidx)
-    done;
+    got = Stg.output stg s i && !loaded = codes.(Stg.next stg s i)
+  in
+  let block_ok blk =
+    Array.iteri
+      (fun k p -> in_words.(p) <- Bitsim.exhaustive_word k blk)
+      free_pos;
+    Array.iteri
+      (fun k p -> in_words.(p) <- Bitsim.exhaustive_word (ni + k) blk)
+      q_pos;
     Bitsim.eval_into b in_words plane;
-    let l = ref 0 in
-    while !ok && !l < lanes do
-      let expected = Stg.output stg states.(!l) codes.(!l) in
-      let got = ref 0 in
-      for o = 0 to nouts - 1 do
-        if (plane.(out_idx.(o)) lsr !l) land 1 = 1 then
-          got := !got lor (1 lsl o)
-      done;
-      if !got <> expected then ok := false
-      else begin
-        states.(!l) <- Stg.next stg states.(!l) codes.(!l);
-        incr l
-      end
-    done;
-    for bidx = 0 to nbits - 1 do
-      let d = plane.(d_idx.(bidx)) in
-      q_words.(bidx) <-
-        (match en_idx.(bidx) with
-        | None -> d
-        | Some e ->
-          let en = plane.(e) in
-          (d land en) lor (q_words.(bidx) land lnot en))
-    done
-  done;
-  !ok
-
-let verify ?(packed = true) t stg ~rng ~cycles =
-  if packed then verify_packed t stg ~rng ~cycles
-  else verify_scalar t stg ~rng ~cycles
+    let rec from l =
+      l >= lanes
+      ||
+      let v = (blk * lanes) + l in
+      (v >= nvec || state_of.(v lsr ni) < 0 || pair_ok v l) && from (l + 1)
+    in
+    from 0
+  in
+  let rec from blk = blk * lanes >= nvec || (block_ok blk && from (blk + 1)) in
+  from 0

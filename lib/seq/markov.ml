@@ -83,25 +83,3 @@ let self_loop_probability stg q =
   let total = ref 0.0 in
   Array.iteri (fun s row -> total := !total +. row.(s)) w;
   !total
-
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + (x land 1)) (x lsr 1) in
-  go 0 x
-
-let expected_output_activity stg q =
-  check_dist stg q;
-  let pi = steady_state stg q in
-  let codes = Stg.num_input_codes stg in
-  let acc = ref 0.0 in
-  for s = 0 to Stg.num_states stg - 1 do
-    for i = 0 to codes - 1 do
-      let o1 = Stg.output stg s i and s' = Stg.next stg s i in
-      for i' = 0 to codes - 1 do
-        let o2 = Stg.output stg s' i' in
-        acc :=
-          !acc
-          +. pi.(s) *. q.(i) *. q.(i') *. float_of_int (popcount (o1 lxor o2))
-      done
-    done
-  done;
-  !acc

@@ -13,9 +13,6 @@ val uniform_inputs : Stg.t -> input_dist
 val biased_inputs : Stg.t -> bit_probs:float array -> input_dist
 (** Independent input bits with the given 1-probabilities. *)
 
-val transition_matrix : Stg.t -> input_dist -> float array array
-(** [p.(s).(s')] = probability of moving to [s'] from [s] in one cycle. *)
-
 val steady_state :
   ?iterations:int -> ?epsilon:float -> Stg.t -> input_dist -> float array
 (** Stationary distribution by power iteration from uniform (default 10,000
@@ -30,7 +27,3 @@ val edge_weights : Stg.t -> input_dist -> float array array
 val self_loop_probability : Stg.t -> input_dist -> float
 (** Fraction of cycles spent on loop edges — the clock-gating opportunity
     that [4] exploits. *)
-
-val expected_output_activity : Stg.t -> input_dist -> float
-(** Expected output-code bit toggles per cycle at steady state (consecutive
-    outputs along the chain, input codes independent across cycles). *)

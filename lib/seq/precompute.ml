@@ -95,7 +95,9 @@ let obligation net0 ~output ~keep =
   Network.set_output t "__precompute_violation" violation;
   t
 
-let build ?verify net0 ~output ~keep ?(ff_clock_cap = 2.0) () =
+let ff_clock_cap = 2.0
+
+let build ?verify net0 ~output ~keep () =
   (match List.assoc_opt output (Network.outputs net0) with
   | Some _ -> ()
   | None -> invalid_arg "Precompute.build: unknown output");

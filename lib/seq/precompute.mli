@@ -50,7 +50,7 @@ type architecture = {
 
 val build :
   ?verify:Verify.mode -> Network.t -> output:string -> keep:Network.id list
-  -> ?ff_clock_cap:float -> unit -> architecture
+  -> unit -> architecture
 (** Wrap a combinational block into the two competing sequential designs.
     In the precomputed design the output is corrected with a multiplexer:
     [g1 OR (NOT g0 AND f)] evaluated on registered values, which equals [f]

@@ -1,14 +1,13 @@
 type t = {
   fsm_name : string;
-  state_names : string array;
   num_inputs : int;
   num_outputs : int;
   next_tbl : int array array;
   out_tbl : int array array;
 }
 
-let create ?(name = "fsm") ?state_names ~num_states ~num_inputs ~num_outputs
-    ~next ~output () =
+let create ?(name = "fsm") ~num_states ~num_inputs ~num_outputs ~next
+    ~output () =
   if num_states <= 0 then invalid_arg "Stg.create: no states";
   if num_inputs < 0 || num_inputs > 12 then
     invalid_arg "Stg.create: input bits must be in [0, 12]";
@@ -30,15 +29,7 @@ let create ?(name = "fsm") ?state_names ~num_states ~num_inputs ~num_outputs
               invalid_arg "Stg.create: output out of range";
             o))
   in
-  let state_names =
-    match state_names with
-    | Some a ->
-      if Array.length a <> num_states then
-        invalid_arg "Stg.create: state_names arity mismatch";
-      a
-    | None -> Array.init num_states (Printf.sprintf "s%d")
-  in
-  { fsm_name = name; state_names; num_inputs; num_outputs; next_tbl; out_tbl }
+  { fsm_name = name; num_inputs; num_outputs; next_tbl; out_tbl }
 
 let name t = t.fsm_name
 let num_states t = Array.length t.next_tbl
@@ -47,7 +38,6 @@ let num_input_codes t = 1 lsl t.num_inputs
 let num_outputs t = t.num_outputs
 let next t s i = t.next_tbl.(s).(i)
 let output t s i = t.out_tbl.(s).(i)
-let state_name t s = t.state_names.(s)
 
 let has_self_loop t s i = next t s i = s
 
@@ -76,7 +66,6 @@ let pp ppf t =
     t.fsm_name (num_states t) t.num_inputs t.num_outputs;
   List.iter
     (fun (s, i, n, o) ->
-      Format.fprintf ppf "  %s --%d/%d--> %s@," t.state_names.(s) i o
-        t.state_names.(n))
+      Format.fprintf ppf "  s%d --%d/%d--> s%d@," s i o n)
     (edge_list t);
   Format.pp_close_box ppf ()

@@ -7,8 +7,7 @@
 type t
 
 val create :
-  ?name:string -> ?state_names:string array -> num_states:int
-  -> num_inputs:int -> num_outputs:int
+  ?name:string -> num_states:int -> num_inputs:int -> num_outputs:int
   -> next:(int -> int -> int) -> output:(int -> int -> int) -> unit -> t
 (** [create ~num_states ~num_inputs ~num_outputs ~next ~output ()] tabulates
     the machine: [next s i] and [output s i] for every state [s] and input
@@ -26,7 +25,6 @@ val num_outputs : t -> int
 
 val next : t -> int -> int -> int
 val output : t -> int -> int -> int
-val state_name : t -> int -> string
 
 val has_self_loop : t -> int -> int -> bool
 (** [next s i = s] — the loop-edges that gated-clock FSM optimization [4]
@@ -34,8 +32,5 @@ val has_self_loop : t -> int -> int -> bool
 
 val reachable : t -> from:int -> int list
 (** States reachable from the given one (inclusive), sorted. *)
-
-val edge_list : t -> (int * int * int * int) list
-(** All (state, input code, next state, output code) tuples. *)
 
 val pp : Format.formatter -> t -> unit

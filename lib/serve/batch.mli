@@ -27,8 +27,8 @@ type job =
           [power], else [Area]); the pass-level [~verify] safety net is
           left at {!Verify.default} *)
   | Encode_fsm of { label : string; stg : Stg.t }
-      (** a {!Tournament.run_fsm} race of the default encodings (binary,
-          Gray, low-power) *)
+      (** a {!Tournament.run_fsm} race of the binary, Gray and low-power
+          encodings *)
 
 val label : job -> string
 
@@ -56,8 +56,8 @@ type report = {
   tournaments : int;  (** comb + FSM tournaments run *)
   champions_verified : int;
       (** promoted champions that carry a verification (SAT for comb —
-          always, by {!Tournament.run}'s construction — co-simulation
-          for FSM) *)
+          always, by {!Tournament.run}'s construction — and
+          {!Fsm_synth.implements}' exact check for FSM) *)
 }
 
 val run : ?domains:int -> ?memo:Memo.t -> job array -> report

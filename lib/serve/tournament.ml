@@ -186,24 +186,16 @@ type fsm_promotion = {
   encodings : fsm_candidate list;
 }
 
-let default_encodings stg =
+let run_fsm stg =
   let num_states = Stg.num_states stg in
-  let dist = Markov.uniform_inputs stg in
-  [
-    ("binary", Encode.binary ~num_states);
-    ("gray", Encode.gray ~num_states);
-    ("low-power", Encode.low_power stg dist);
-  ]
-
-let run_fsm ?encodings ?input_bit_probs ?(verify_cycles = 256) stg =
   let roster =
-    match encodings with Some e -> e | None -> default_encodings stg
+    [
+      ("binary", Encode.binary ~num_states);
+      ("gray", Encode.gray ~num_states);
+      ("low-power", Encode.low_power stg (Markov.uniform_inputs stg));
+    ]
   in
-  let probs =
-    match input_bit_probs with
-    | Some p -> p
-    | None -> Array.make (Stg.num_inputs stg) 0.5
-  in
+  let probs = Array.make (Stg.num_inputs stg) 0.5 in
   let field =
     List.map
       (fun (ename, enc) ->
@@ -213,13 +205,10 @@ let run_fsm ?encodings ?input_bit_probs ?(verify_cycles = 256) stg =
             Seq_estimate.steady_state synth.Fsm_synth.circuit
               ~input_bit_probs:probs
           in
-          let ok =
-            Fsm_synth.verify synth stg ~rng:(Lowpower.Rng.create 0x5EED)
-              ~cycles:verify_cycles
-          in
           ( { encoding = ename; bits = enc.Encode.bits;
               capacitance = est.Seq_estimate.switched_capacitance;
-              fsm_literals = Fsm_synth.literal_count synth; verified = ok;
+              fsm_literals = Fsm_synth.literal_count synth;
+              verified = Fsm_synth.implements synth stg;
               error = None },
             Some synth )
         with

@@ -100,10 +100,10 @@ val run :
 
     The sequential analogue: race state encodings for one STG.  There is
     no combinational-equivalence reference between two encodings of the
-    same machine (the state spaces differ), so the champion here is
-    checked by {!Fsm_synth.verify}'s packed co-simulation against the
-    STG rather than by the CEC session — a weaker, randomized guarantee,
-    which the record reports as a plain [verified] flag. *)
+    same machine (the state spaces differ), so each candidate is checked
+    against the STG by {!Fsm_synth.implements} rather than by the CEC
+    session — an exact check over every reachable (state, input code)
+    pair, which the record reports as a plain [verified] flag. *)
 
 type fsm_candidate = {
   encoding : string;
@@ -125,20 +125,13 @@ type fsm_promotion = {
   encodings : fsm_candidate list;
 }
 
-val run_fsm :
-  ?encodings:(string * Encode.t) list ->
-  ?input_bit_probs:float array ->
-  ?verify_cycles:int ->
-  Stg.t ->
-  fsm_promotion
-(** Race encodings (default: [binary], [gray], [low-power]) for the
-    STG: synthesize each, score by exact steady-state switched
-    capacitance under [input_bit_probs] (default all 0.5), co-simulate
-    each successful candidate for [verify_cycles] (default 256) cycles,
-    and promote the lowest-capacitance verified one.  Encodings whose
-    synthesis or analysis raises (e.g. a wide code such as
-    {!Encode.one_hot} overflowing the two-level tabulation limit) are
-    recorded as failed, not fatal.  Raises [Invalid_argument] if every
-    encoding fails.  {!Encode.one_hot} is left out of the default
-    roster: on the benchmark FSMs it never beat a minimum-width code;
-    pass it through [~encodings] to race it. *)
+val run_fsm : Stg.t -> fsm_promotion
+(** Race the [binary], [gray] and [low-power] encodings of the STG:
+    synthesize each, score by exact steady-state switched capacitance
+    under uniform inputs (each bit 1 with probability 0.5), check each
+    successful candidate with {!Fsm_synth.implements}, and promote the
+    lowest-capacitance verified one.  Encodings whose synthesis or
+    analysis raises are recorded as failed, not fatal.  Raises
+    [Invalid_argument] if every encoding fails.  {!Encode.one_hot} is
+    not raced: on the benchmark FSMs it never beat a minimum-width
+    code. *)

@@ -1,7 +1,8 @@
 (* Differential tests for the word-parallel bit-plane engine: packed
    evaluation against the scalar compiled evaluator on injected planes,
    packed transition counting against the event simulator, the packed
-   Monte-Carlo estimators against their scalar oracles, and the SWAR /
+   Monte-Carlo estimators against their scalar oracles, the exact FSM
+   check against scalar co-simulation and planted mutants, and the SWAR /
    RNG / packing primitives against naive implementations. *)
 
 open Test_util
@@ -362,42 +363,123 @@ let test_seq_sim_packed_with_enables () =
   Alcotest.(check bool) "some cycles gated" true
     (a.Seq_circuit.gated_cycles > 0)
 
-(* ---- word-parallel FSM verification ---------------------------------- *)
+(* ---- exact FSM check ------------------------------------------------ *)
 
-let test_verify_packed_accepts_correct () =
-  List.iter
-    (fun stg ->
-      let bits = Encode.binary ~num_states:(Stg.num_states stg) in
-      let synth = Fsm_synth.synthesize stg bits in
-      Alcotest.(check bool) "packed verify accepts" true
-        (Fsm_synth.verify ~packed:true synth stg ~rng:(rng ()) ~cycles:100);
-      Alcotest.(check bool) "scalar verify accepts" true
-        (Fsm_synth.verify ~packed:false synth stg ~rng:(rng ()) ~cycles:100))
+let min_width_encodings stg =
+  let num_states = Stg.num_states stg in
+  [
+    Encode.binary ~num_states;
+    Encode.gray ~num_states;
+    Encode.low_power ~restarts:1 stg (Markov.uniform_inputs stg);
+  ]
+
+let fsm_encodings stg =
+  Encode.one_hot ~num_states:(Stg.num_states stg) :: min_width_encodings stg
+
+let scalar_verify synth stg =
+  Fsm_synth.verify synth stg ~rng:(rng ()) ~cycles:200
+
+(* One-hot codes of the 12-state counter would take seconds to
+   synthesize, so the named machines race the minimum-width codes. *)
+let test_exact_accepts_correct () =
+  let named =
     [
       Gen_fsm.counter ~bits:3;
       Gen_fsm.modulo_counter ~modulus:12;
       Gen_fsm.sequence_detector ~pattern:[ true; false; true ];
     ]
+  in
+  let random =
+    List.init 7 (fun k ->
+        Gen_fsm.random (Lowpower.Rng.create k) ~num_states:(3 + k)
+          ~num_inputs:(1 + (k mod 2)) ~num_outputs:2 ())
+  in
+  List.iter
+    (fun (stg, encodings) ->
+      List.iter
+        (fun enc ->
+          let synth = Fsm_synth.synthesize stg enc in
+          let gated = Clock_gate.gate_fsm synth in
+          List.iter
+            (fun (what, c) ->
+              let name check =
+                Printf.sprintf "%s, %d states, %d bits, %s: %s" (Stg.name stg)
+                  (Stg.num_states stg) enc.Encode.bits what check
+              in
+              Alcotest.(check bool) (name "exact") true
+                (Fsm_synth.implements c stg);
+              Alcotest.(check bool) (name "scalar") true (scalar_verify c stg))
+            [ ("plain", synth); ("gated", gated) ])
+        encodings)
+    (List.map (fun stg -> (stg, min_width_encodings stg)) named
+    @ List.map (fun stg -> (stg, fsm_encodings stg)) random)
 
-(* One mutant per output bit: a check that compared some bits and skipped
-   others would still reject a mutant of the first. *)
+(* Faults, made in place on a synthesized circuit. *)
+let network synth = Seq_circuit.network synth.Fsm_synth.circuit
+let registers synth = Seq_circuit.registers synth.Fsm_synth.circuit
+let output_ids synth = List.map snd (Network.outputs (network synth))
+let d_ids synth = List.map (fun r -> r.Seq_circuit.d) (registers synth)
+
+let enable_ids synth =
+  List.sort_uniq compare
+    (List.filter_map (fun r -> r.Seq_circuit.enable) (registers synth))
+
+let complement synth id =
+  let net = network synth in
+  Network.replace_func net id
+    (Expr.not_ (Network.func net id))
+    (Network.fanins net id)
+
+(* Complement node [id] on the one vector [v]: input code in the low bits,
+   state code above it. *)
+let flip_at synth id v =
+  let net = network synth in
+  let vars =
+    Seq_circuit.free_inputs synth.Fsm_synth.circuit
+    @ List.map (fun r -> r.Seq_circuit.q) (registers synth)
+  in
+  let minterm =
+    Network.add_node net
+      (Expr.and_list
+         (List.mapi
+            (fun k _ ->
+              if (v lsr k) land 1 = 1 then Expr.var k
+              else Expr.not_ (Expr.var k))
+            vars))
+      vars
+  in
+  let fanins = Network.fanins net id in
+  Network.replace_func net id
+    (Expr.Xor (Network.func net id, Expr.var (List.length fanins)))
+    (fanins @ [ minterm ])
+
+let with_registers synth f =
+  {
+    synth with
+    Fsm_synth.circuit =
+      Seq_circuit.create (network synth) (List.mapi f (registers synth));
+  }
+
+let flip_init synth k =
+  with_registers synth (fun j r ->
+      if j = k then { r with Seq_circuit.init = not r.Seq_circuit.init }
+      else r)
+
+(* One mutant per output bit: a word-parallel check that compared some bits
+   and skipped others would still reject a mutant of the first. *)
 let test_verify_packed_rejects_mutant () =
   let stg = Gen_fsm.counter ~bits:3 in
   let synth () = Fsm_synth.synthesize stg (Encode.binary ~num_states:8) in
   List.iteri
     (fun k _ ->
       let synth = synth () in
-      let net = Seq_circuit.network synth.Fsm_synth.circuit in
-      (* Flip output bit k's function. *)
-      let _, out_id = List.nth synth.Fsm_synth.output_nodes k in
-      Network.replace_func net out_id
-        (Expr.not_ (Network.func net out_id))
-        (Network.fanins net out_id);
-      Alcotest.(check bool) "packed verify rejects" false
-        (Fsm_synth.verify ~packed:true synth stg ~rng:(rng ()) ~cycles:100);
-      Alcotest.(check bool) "scalar verify rejects" false
-        (Fsm_synth.verify ~packed:false synth stg ~rng:(rng ()) ~cycles:100))
-    (synth ()).Fsm_synth.output_nodes
+      complement synth (List.nth (output_ids synth) k);
+      let name check = Printf.sprintf "output %d flipped: %s" k check in
+      Alcotest.(check bool) (name "exact check rejects") false
+        (Fsm_synth.implements synth stg);
+      Alcotest.(check bool) (name "scalar verify rejects") false
+        (scalar_verify synth stg))
+    (output_ids (synth ()))
 
 (* Gated random FSMs: with every register enable replaced by one
    constant-false node the registers never leave reset, so a check that
@@ -408,31 +490,146 @@ let test_verify_reads_enables () =
       Gen_fsm.random (Lowpower.Rng.create seed) ~num_states:6 ~num_inputs:2
         ~num_outputs:2 ()
     in
-    let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:6) in
-    let gated = Clock_gate.gate_fsm synth stg in
-    let verify ~packed c =
-      Fsm_synth.verify ~packed c stg ~rng:(rng ()) ~cycles:100
+    let gated =
+      Clock_gate.gate_fsm
+        (Fsm_synth.synthesize stg (Encode.binary ~num_states:6))
     in
     let name what = Printf.sprintf "seed %d: %s" seed what in
-    Alcotest.(check bool) (name "packed accepts gated") true
-      (verify ~packed:true gated);
+    Alcotest.(check bool) (name "exact accepts gated") true
+      (Fsm_synth.implements gated stg);
     Alcotest.(check bool) (name "scalar accepts gated") true
-      (verify ~packed:false gated);
-    let net = Seq_circuit.network gated.Fsm_synth.circuit in
-    let off = Network.add_node net (Expr.Const false) [] in
-    let regs =
-      List.map
-        (fun r -> { r with Seq_circuit.enable = Some off })
-        (Seq_circuit.registers gated.Fsm_synth.circuit)
-    in
+      (scalar_verify gated stg);
+    let off = Network.add_node (network gated) (Expr.Const false) [] in
     let stuck =
-      { gated with Fsm_synth.circuit = Seq_circuit.create net regs }
+      with_registers gated (fun _ r -> { r with Seq_circuit.enable = Some off })
     in
-    Alcotest.(check bool) (name "packed rejects stuck enables") false
-      (verify ~packed:true stuck);
+    Alcotest.(check bool) (name "exact rejects stuck enables") false
+      (Fsm_synth.implements stuck stg);
     Alcotest.(check bool) (name "scalar rejects stuck enables") false
-      (verify ~packed:false stuck)
+      (scalar_verify stuck stg)
   done
+
+let pick r xs = List.nth xs (Lowpower.Rng.int r (List.length xs))
+
+(* A random reachable (state, input code) pair as a vector. *)
+let reachable_vector r stg synth =
+  let s = pick r (Stg.reachable stg ~from:0) in
+  let i = Lowpower.Rng.int r (Stg.num_input_codes stg) in
+  i lor (synth.Fsm_synth.encoding.Encode.codes.(s) lsl Stg.num_inputs stg)
+
+(* The mutation audit: each mutant of a gated random FSM changes behaviour
+   reachable from reset, so the exact check must reject every one.  The
+   encodings rotate, so one-hot codes spread the reachable pairs over five
+   words. *)
+let test_exact_rejects_mutants () =
+  for seed = 1 to 20 do
+    let r = Lowpower.Rng.create seed in
+    let stg =
+      Gen_fsm.random r ~num_states:6 ~num_inputs:2 ~num_outputs:2 ()
+    in
+    let enc = List.nth (fsm_encodings stg) (seed mod 4) in
+    let synth = Fsm_synth.synthesize stg enc in
+    (* Each mutant edits a gated copy of one synthesis in place. *)
+    let fresh () =
+      let c = synth.Fsm_synth.circuit in
+      Clock_gate.gate_fsm
+        {
+          synth with
+          Fsm_synth.circuit =
+            Seq_circuit.create
+              (Network.copy (Seq_circuit.network c))
+              (Seq_circuit.registers c);
+        }
+    in
+    let mutant what f = (what, f (fresh ())) in
+    let mutants =
+      [
+        mutant "every enable held at 0" (fun synth ->
+            let off = Network.add_node (network synth) (Expr.Const false) [] in
+            with_registers synth (fun _ reg ->
+                { reg with Seq_circuit.enable = Some off }));
+        mutant "gating condition inverted" (fun synth ->
+            List.iter (complement synth) (enable_ids synth);
+            synth);
+        mutant "one d bit flipped on one reachable pair" (fun synth ->
+            flip_at synth (pick r (d_ids synth)) (reachable_vector r stg synth);
+            synth);
+        mutant "one wrong power-up bit" (fun synth ->
+            flip_init synth (Lowpower.Rng.int r enc.Encode.bits));
+        mutant "one output flipped on one reachable pair" (fun synth ->
+            flip_at synth (pick r (output_ids synth))
+              (reachable_vector r stg synth);
+            synth);
+      ]
+    in
+    Alcotest.(check bool) (Printf.sprintf "seed %d: unmutated" seed) true
+      (Fsm_synth.implements (fresh ()) stg);
+    List.iter
+      (fun (what, m) ->
+        Alcotest.(check bool) (Printf.sprintf "seed %d: %s" seed what) false
+          (Fsm_synth.implements m stg))
+      mutants
+  done
+
+(* One random fault: an output, d or enable node complemented everywhere
+   or on one random (input code, state code) vector, or one power-up bit
+   flipped.  A fault on a code no reachable state has may be accepted;
+   whatever the exact check accepts, the scalar oracle must accept. *)
+let prop_exact_implies_scalar =
+  prop ~count:80 "exact acceptance implies scalar acceptance"
+    QCheck2.Gen.(quad (int_bound 10_000) (int_bound 4) (int_bound 3) bool)
+    (fun (seed, states, enc, gated) ->
+      let r = Lowpower.Rng.create seed in
+      let stg =
+        Gen_fsm.random r ~num_states:(3 + states) ~num_inputs:2
+          ~num_outputs:2 ()
+      in
+      let synth =
+        Fsm_synth.synthesize stg (List.nth (fsm_encodings stg) enc)
+      in
+      let synth = if gated then Clock_gate.gate_fsm synth else synth in
+      let bits = synth.Fsm_synth.encoding.Encode.bits in
+      let nodes = output_ids synth @ d_ids synth @ enable_ids synth in
+      let faulty =
+        match Lowpower.Rng.int r 3 with
+        | 0 -> flip_init synth (Lowpower.Rng.int r bits)
+        | 1 ->
+          complement synth (pick r nodes);
+          synth
+        | _ ->
+          flip_at synth (pick r nodes) (Lowpower.Rng.int r (1 lsl (2 + bits)));
+          synth
+      in
+      (not (Fsm_synth.implements faulty stg)) || scalar_verify faulty stg)
+
+(* A circuit that departs from its STG only at an unreachable state's code
+   implements it: the property is behaviour reachable from reset. *)
+let test_unreachable_departure_passes () =
+  (* States 0-2 step among themselves; state 3 is never entered. *)
+  let stg =
+    Stg.create ~num_states:4 ~num_inputs:1 ~num_outputs:1
+      ~next:(fun s i -> if s = 3 then i else (s + i) mod 3)
+      ~output:(fun s i -> (s + i) land 1)
+      ()
+  in
+  (* Every output and d node complemented at one state code, both inputs. *)
+  let depart code =
+    let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:4) in
+    List.iter
+      (fun id ->
+        flip_at synth id (code lsl 1);
+        flip_at synth id ((code lsl 1) lor 1))
+      (output_ids synth @ d_ids synth);
+    synth
+  in
+  let unreachable = depart 3 in
+  Alcotest.(check bool) "exact check accepts" true
+    (Fsm_synth.implements unreachable stg);
+  Alcotest.(check bool) "scalar verify accepts" true
+    (scalar_verify unreachable stg);
+  Alcotest.(check bool) "the same departure at a reachable code is caught"
+    false
+    (Fsm_synth.implements (depart 2) stg)
 
 let suite =
   [
@@ -462,7 +659,10 @@ let suite =
     prop_seq_sim_packed_equals_scalar;
     quick "seq sim with enables identical packed vs scalar"
       test_seq_sim_packed_with_enables;
-    quick "packed verify accepts correct FSMs" test_verify_packed_accepts_correct;
+    quick "exact check accepts correct FSMs" test_exact_accepts_correct;
     quick "packed verify rejects a mutant" test_verify_packed_rejects_mutant;
     quick "verify reads register enables" test_verify_reads_enables;
+    quick "exact check rejects five mutants" test_exact_rejects_mutants;
+    prop_exact_implies_scalar;
+    quick "unreachable departures pass" test_unreachable_departure_passes;
   ]

@@ -88,7 +88,7 @@ let test_gated_circuit_analysis () =
      has a much lower toggle rate. *)
   let stg = Gen_fsm.counter ~bits:3 in
   let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:8) in
-  let gated = Clock_gate.gate_fsm synth stg in
+  let gated = Clock_gate.gate_fsm synth in
   let est =
     Seq_estimate.steady_state gated.Fsm_synth.circuit
       ~input_bit_probs:[| 0.1 |]

@@ -309,7 +309,7 @@ let test_fsm_tournament () =
       (fun c -> c.Tournament.encoding = p.Tournament.fsm_champion)
       p.Tournament.encodings
   in
-  Alcotest.(check bool) "fsm champion co-sim verified" true
+  Alcotest.(check bool) "fsm champion passes the exact check" true
     champ.Tournament.verified;
   Alcotest.(check bool) "fsm margin nonnegative" true
     (p.Tournament.fsm_margin >= 0.0);
